@@ -1,27 +1,44 @@
-//! The BlobSeer client: protocol state machines for `create`, `write`,
-//! `append` and `read`, written as a resumable core ([`ClientCore`]) that
-//! both runtimes embed.
+//! The BlobSeer client: one protocol state machine per operation kind,
+//! written as a resumable core ([`ClientCore`]) that both runtimes embed.
 //!
-//! A write proceeds through six phases, mirroring the real BlobSeer
-//! protocol: obtain a ticket from the version manager → obtain chunk
-//! placements from the provider manager → store chunk replicas on the data
-//! providers (all in parallel) → resolve the untouched-subtree references
-//! against the published metadata (O(log n) reads) → store the new tree
-//! nodes on the metadata providers → commit to the version manager, which
-//! acknowledges once the version publishes in order.
+//! A write proceeds through the BlobSeer protocol: obtain a ticket from
+//! the version manager → obtain chunk placements from the provider
+//! manager → store chunk replicas on the data providers (pipelined under
+//! a window, batched per provider) → resolve the untouched-subtree
+//! references against the published metadata (O(log n) reads) → store
+//! the new tree nodes on the metadata providers → commit to the version
+//! manager, which acknowledges once the version publishes in order. A
+//! read looks up the version, descends the metadata tree to a chunk plan,
+//! and fetches the chunks (batched per provider, with replica failover).
+//!
+//! Each machine has two kinds of caller, and which one a session serves
+//! follows only from the [`ClientOp`] that opened it:
+//!
+//! * a one-shot op — [`ClientOp::Write`] / [`ClientOp::Read`] — runs the
+//!   whole machine and completes once: the write feeds its payload in one
+//!   piece as soon as the placements arrive and commits at once; the read
+//!   fetches every page of its plan as one batch. Its deadline is
+//!   absolute.
+//! * a stream — [`ClientOp::OpenWriteStream`] /
+//!   [`ClientOp::OpenReadStream`] — completes once per sub-operation:
+//!   open, each feed (withheld until the window has headroom), commit;
+//!   open, each window-sized pull. Its deadline is an idle timeout.
+//!
+//! Both share every protocol step: the chunk-store pump, retry and
+//! re-allocation; the metadata build and descent; the per-provider fetch
+//! batches, replica walk and leaf refresh; the assembly routine; and the
+//! completion epilogue.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 use bytes::BytesMut;
 use rand::Rng;
 use sads_sim::{NodeId, SimDuration, SimTime, SpanClass, SpanKind, SpanRecord, TraceCtx};
 
-use crate::meta::{
-    partition, MetaNode, NodeKey, NodeRange, PageSource, TreeBuilder, TreeReader,
-};
+use crate::meta::{partition, MetaNode, NodeKey, NodeRange, PageSource, TreeBuilder, TreeReader};
 use crate::model::{
-    pages_for, BlobError, BlobId, BlobSpec, ChunkDescriptor, ChunkKey, ClientId, PageInterval,
-    Payload, VersionId, VersionInfo,
+    BlobError, BlobId, BlobSpec, ChunkDescriptor, ChunkKey, ClientId, PageInterval, Payload,
+    VersionId, VersionInfo,
 };
 use crate::rpc::{ChunkErr, Msg};
 use crate::services::Env;
@@ -389,12 +406,12 @@ impl Default for ClientConfig {
 struct MetaCache {
     cap: usize,
     map: HashMap<NodeKey, MetaNode>,
-    order: std::collections::VecDeque<NodeKey>,
+    order: VecDeque<NodeKey>,
 }
 
 impl MetaCache {
     fn new(cap: usize) -> Self {
-        MetaCache { cap, map: HashMap::new(), order: std::collections::VecDeque::new() }
+        MetaCache { cap, map: HashMap::new(), order: VecDeque::new() }
     }
 
     fn get(&self, k: &NodeKey) -> Option<&MetaNode> {
@@ -416,106 +433,55 @@ impl MetaCache {
     }
 }
 
-#[derive(Debug)]
-enum WritePhase {
-    Ticket,
-    Alloc,
-    Chunks,
-    MetaResolve,
-    MetaPut,
-    Commit,
-}
-
-#[derive(Debug)]
-struct WriteSess {
-    blob: BlobId,
-    data: Payload,
-    ticket: Option<WriteTicket>,
-    chunks: Vec<ChunkDescriptor>,
-    builder: Option<TreeBuilder>,
-    root: Option<crate::meta::NodeRef>,
-    phase: WritePhase,
-    /// Chunk stores not yet issued (kept reversed so `pop()` yields the
-    /// next job); the in-flight window refills from here.
-    pending_puts: Vec<(NodeId, Vec<(ChunkKey, Payload)>)>,
-    /// Replacement placements requested so far (bounded by
-    /// [`RetryPolicy::max_reallocs`]).
-    reallocs: u32,
-}
-
-#[derive(Debug)]
-enum ReadPhase {
-    Version,
-    Meta,
-    Chunks,
-}
-
-#[derive(Debug)]
-struct ReadSess {
-    blob: BlobId,
-    offset: u64,
-    len: u64,
-    info: Option<VersionInfo>,
-    reader: Option<TreeReader>,
-    page0: u64,
-    parts: Vec<Option<Payload>>,
-    phase: ReadPhase,
-    /// Per-provider chunk-fetch batches not yet issued (reversed; `pop()`
-    /// yields the next batch); the in-flight window refills from here.
-    pending_gets: Vec<(NodeId, Vec<(usize, ChunkDescriptor)>)>,
-    /// Whether this read already issued its one bulk `GetMetaRange`
-    /// broadcast (at most one per read; later descent gaps use the
-    /// per-node path).
-    range_used: bool,
-}
-
-impl ReadSess {
-    /// Version + page interval of this read's bulk range query. The tree
-    /// being descended is the one rooted at the version that *created*
-    /// the root node — equal to the read version except when a recovered
-    /// no-op version republished its predecessor's root.
-    fn range_query(&self) -> (VersionId, PageInterval) {
-        let info = self.info.as_ref().expect("info set");
-        let version = match info.root {
-            Some(crate::meta::NodeRef::Node { version, .. }) => version,
-            _ => info.version,
-        };
-        (version, PageInterval::new(self.page0, self.parts.len() as u64))
-    }
-}
-
-/// What a parked stream sub-operation is waiting for.
+/// What a parked (sub-)operation is waiting for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum WaiterKind {
+    /// A one-shot operation (create, snapshot, decommission, whole-buffer
+    /// write or read): parked for the session's whole life, completes
+    /// once, and emits no sub-operation span.
+    Op,
     Open,
     Feed,
     Commit,
     Next,
 }
 
-/// The one stream sub-operation currently awaiting completion. Streams
-/// are strictly half-duplex per handle: at most one feed/commit/next is
+impl WaiterKind {
+    /// Span label of a stream sub-operation.
+    fn label(self) -> Option<&'static str> {
+        match self {
+            WaiterKind::Op => None,
+            WaiterKind::Open => Some("stream_open"),
+            WaiterKind::Feed => Some("stream_feed"),
+            WaiterKind::Commit => Some("stream_commit"),
+            WaiterKind::Next => Some("stream_next"),
+        }
+    }
+}
+
+/// The one (sub-)operation currently awaiting completion. Streams are
+/// strictly half-duplex per handle: at most one feed/commit/next is
 /// outstanding at a time, which is exactly what gives the backpressure
 /// completion its meaning.
 #[derive(Debug)]
-struct StreamWaiter {
+struct Waiter {
     tag: u64,
     started: SimTime,
     kind: WaiterKind,
-    /// Payload bytes this sub-operation moves (a feed's accepted bytes,
-    /// a commit's declared length); stamped on its [`Completion`].
+    /// Payload bytes this sub-operation moves (a feed's accepted bytes);
+    /// stamped on its [`Completion`].
     bytes: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WStreamPhase {
+enum WritePhase {
     /// Awaiting the version manager's ticket.
     Ticket,
     /// Awaiting chunk placements.
     Alloc,
     /// Open: accepting feeds, shipping cut pages under the window.
     Streaming,
-    /// Commit requested: draining in-flight chunk stores.
+    /// Every byte is in: draining in-flight chunk stores.
     Draining,
     /// Resolving untouched base-tree subtrees.
     MetaResolve,
@@ -525,20 +491,27 @@ enum WStreamPhase {
     Commit,
 }
 
-/// A streaming write: the ticket/alloc handshake runs at open (the
-/// declared length pins the version and page range), then feeds cut
-/// page-sized chunks that ship through the same pipelined put path as a
-/// whole-buffer write — but the client never holds more than
-/// `chunk_window × page_size` un-acknowledged bytes: a feed's completion
-/// is withheld until there is headroom for the next page.
+/// A write session. The ticket/alloc handshake runs first (the declared
+/// length pins the version and page range), then fed bytes are cut into
+/// page-sized chunks that ship through the pipelined, per-provider
+/// batched put path under `chunk_window`, then the metadata tree is built
+/// and the version committed.
+///
+/// A stream is fed by its caller, and a feed's completion is withheld
+/// until there is headroom for the next page, so the client never holds
+/// more than `max(chunk_window, 2) × page_size` un-acknowledged bytes. A
+/// whole-buffer [`ClientOp::Write`] feeds its payload in one piece as
+/// soon as the placements arrive and commits at once.
 #[derive(Debug)]
-struct WriteStreamSess {
+struct WriteSess {
     blob: BlobId,
+    /// A whole-buffer write's payload, until the placements arrive.
+    data: Option<Payload>,
     ticket: Option<WriteTicket>,
     chunks: Vec<ChunkDescriptor>,
     builder: Option<TreeBuilder>,
     root: Option<crate::meta::NodeRef>,
-    phase: WStreamPhase,
+    phase: WritePhase,
     /// Partial page under accumulation (real-data streams).
     acc: BytesMut,
     /// Partial page under accumulation (size-only simulation streams).
@@ -549,12 +522,13 @@ struct WriteStreamSess {
     data_mode: Option<bool>,
     /// Index into `chunks` of the next page to cut.
     next_page: u64,
-    /// Cut pages (one entry per replica) not yet issued because the
-    /// window is full.
-    queued: std::collections::VecDeque<(NodeId, ChunkKey, Payload)>,
-    /// Replica acks still owed per cut page; the page's bytes stay
-    /// "buffered" until the last replica acks.
-    page_acks: HashMap<u64, u32>,
+    /// Cut page stores not yet issued because the window is full, one
+    /// batch per provider in the order providers were first seen; a
+    /// store for a provider already queued joins its batch.
+    queued: VecDeque<(NodeId, Vec<(ChunkKey, Payload)>)>,
+    /// Replica acks still owed per page (indexed like `chunks`); a page's
+    /// bytes stay "buffered" until its last replica acks.
+    page_acks: Vec<u32>,
     /// Bytes cut but not yet fully acknowledged (each page counted once
     /// — replicas share one refcounted buffer).
     unacked_bytes: u64,
@@ -563,19 +537,40 @@ struct WriteStreamSess {
     /// High-water mark of `buffered()`, exported as the
     /// `client.stream_buffered_bytes` gauge.
     peak_buffered: u64,
-    waiter: Option<StreamWaiter>,
-    /// A fatal error that arrived while no sub-op was parked; delivered
-    /// to (and ending the stream at) the next sub-op.
-    failed: Option<BlobError>,
+    /// Replacement placements requested so far (bounded by
+    /// [`RetryPolicy::max_reallocs`]).
     reallocs: u32,
-    /// Progress clock for the idle-timeout check: message arrivals and
-    /// waiter completions refresh it.
-    last_activity: SimTime,
 }
 
-impl WriteStreamSess {
+impl WriteSess {
+    fn new(blob: BlobId, data: Option<Payload>) -> Self {
+        WriteSess {
+            blob,
+            data,
+            ticket: None,
+            chunks: Vec::new(),
+            builder: None,
+            root: None,
+            phase: WritePhase::Ticket,
+            acc: BytesMut::new(),
+            acc_sim: 0,
+            data_mode: None,
+            next_page: 0,
+            queued: VecDeque::new(),
+            page_acks: Vec::new(),
+            unacked_bytes: 0,
+            fed: 0,
+            peak_buffered: 0,
+            reallocs: 0,
+        }
+    }
+
     fn page_size(&self) -> u64 {
-        self.ticket.as_ref().map(|t| t.page_size).unwrap_or(0)
+        self.ticket.as_ref().map_or(0, |t| t.page_size)
+    }
+
+    fn declared(&self) -> u64 {
+        self.ticket.as_ref().map_or(0, |t| t.len)
     }
 
     /// Bytes this stream currently holds: the partial page plus every
@@ -601,56 +596,83 @@ impl WriteStreamSess {
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RStreamPhase {
+enum ReadPhase {
     /// Awaiting the version lookup.
     Version,
     /// Running the metadata descent for the whole range.
     Meta,
-    /// Open, no fetch in flight; awaiting the next pull.
+    /// Stream open, no fetch in flight; awaiting the next pull.
     Idle,
-    /// One window of chunk fetches in flight.
+    /// One batch of chunk fetches in flight.
     Fetching,
 }
 
-/// A streaming read: the version lookup and the (bulk, cache-warming)
-/// metadata descent run at open and resolve the whole chunk plan — an
-/// O(#pages) table of descriptors, not data — then each `next()` pulls
-/// at most `chunk_window` pages of actual bytes, so a multi-GB read
-/// runs in O(window) data memory.
+/// A read session. The version lookup and the (bulk, cache-warming)
+/// metadata descent resolve the whole chunk plan — an O(#pages) table of
+/// descriptors, not data. A stream then fetches at most `chunk_window`
+/// pages per [`ClientOp::ReadStreamNext`], so a multi-GB read runs in
+/// O(window) data memory; a whole-buffer [`ClientOp::Read`] fetches every
+/// page as one batch right away.
 #[derive(Debug)]
-struct ReadStreamSess {
+struct ReadSess {
     blob: BlobId,
     offset: u64,
     len: u64,
     info: Option<VersionInfo>,
     reader: Option<TreeReader>,
-    phase: RStreamPhase,
+    phase: ReadPhase,
     page0: u64,
-    /// Resolved page plan for the whole range.
-    sources: Vec<PageSource>,
-    /// Index into `sources` of the next page to deliver.
+    /// The resolved page plan not yet handed to a batch.
+    sources: VecDeque<PageSource>,
+    /// Pages of the plan handed to batches so far.
     cursor: usize,
     /// Plan index of `parts[0]` for the batch in flight.
     batch_base: usize,
-    /// The batch in flight (at most `chunk_window` entries).
+    /// The batch in flight.
     parts: Vec<Option<Payload>>,
-    waiter: Option<StreamWaiter>,
-    failed: Option<BlobError>,
+    /// Per-provider fetches of the batch not yet issued (reversed;
+    /// `pop()` yields the next); the in-flight window refills from here.
+    pending: Vec<(NodeId, Vec<(usize, ChunkDescriptor)>)>,
+    /// Whether this read already issued its one bulk `GetMetaRange`
+    /// broadcast (at most one per read; later descent gaps use the
+    /// per-node path).
     range_used: bool,
-    last_activity: SimTime,
 }
 
-impl ReadStreamSess {
-    /// Version + page interval of the open descent's bulk range query
-    /// (see [`ReadSess::range_query`] for the root-version subtlety).
+impl ReadSess {
+    fn new(blob: BlobId, offset: u64, len: u64) -> Self {
+        ReadSess {
+            blob,
+            offset,
+            len,
+            info: None,
+            reader: None,
+            phase: ReadPhase::Version,
+            page0: 0,
+            sources: VecDeque::new(),
+            cursor: 0,
+            batch_base: 0,
+            parts: Vec::new(),
+            pending: Vec::new(),
+            range_used: false,
+        }
+    }
+
+    fn page_size(&self) -> u64 {
+        self.info.as_ref().map_or(0, |i| i.page_size)
+    }
+
+    /// Version + page interval of this read's bulk range query. The tree
+    /// being descended is the one rooted at the version that *created*
+    /// the root node — equal to the read version except when a recovered
+    /// no-op version republished its predecessor's root.
     fn range_query(&self) -> (VersionId, PageInterval) {
         let info = self.info.as_ref().expect("info set");
         let version = match info.root {
             Some(crate::meta::NodeRef::Node { version, .. }) => version,
             _ => info.version,
         };
-        let page = info.page_size;
-        let last = (self.offset + self.len - 1) / page;
+        let last = (self.offset + self.len - 1) / info.page_size;
         (version, PageInterval::new(self.page0, last - self.page0 + 1))
     }
 }
@@ -658,17 +680,12 @@ impl ReadStreamSess {
 #[derive(Debug)]
 enum SessKind {
     Create,
+    Snapshot(BlobId),
+    Decommission(BlobId),
     // Boxed: write and read sessions embed builders, descriptor tables
     // and pending queues, and are much larger than the other variants.
     Write(Box<WriteSess>),
     Read(Box<ReadSess>),
-    Snapshot(BlobId),
-    Decommission(BlobId),
-    // Long-lived streaming sessions: the session outlives each sub-op
-    // (open/feed/commit/next), which complete through the parked
-    // [`StreamWaiter`] instead of the session tag.
-    WriteStream(Box<WriteStreamSess>),
-    ReadStream(Box<ReadStreamSess>),
 }
 
 /// Causal-trace state of one operation: the root span identity plus the
@@ -681,22 +698,75 @@ struct OpTrace {
     /// every stage span and (via ambient propagation) every network and
     /// server-side handle span of this operation nests.
     ctx: TraceCtx,
-    /// Operation label: `"create"`, `"write"` or `"read"`.
+    /// Operation label: `"create"`, `"write"`, `"read_stream"`, ….
     op: &'static str,
     /// When the current stage began (stage spans are emitted lazily, at
     /// the transition out of the stage).
     stage_start: SimTime,
 }
 
+/// Request ids one session awaits in its current phase.
+#[derive(Debug)]
+struct Outstanding {
+    sid: u64,
+    reqs: HashSet<u64>,
+}
+
+impl Outstanding {
+    fn len(&self) -> usize {
+        self.reqs.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.reqs.is_empty()
+    }
+}
+
 #[derive(Debug)]
 struct Session {
-    tag: u64,
     started: SimTime,
     kind: SessKind,
-    /// Request ids awaited in the current phase.
-    outstanding: HashSet<u64>,
+    /// Opened by `OpenWriteStream`/`OpenReadStream`: its caller drives it
+    /// with sub-operations, and its deadline is an *idle* timeout. Every
+    /// other session is a one-shot operation with an absolute deadline.
+    stream: bool,
+    out: Outstanding,
     /// Span bookkeeping when tracing is on (`None` = zero trace work).
     trace: Option<OpTrace>,
+    waiter: Option<Waiter>,
+    /// A fatal error that arrived while no sub-op was parked; delivered
+    /// to (and ending the stream at) the next sub-op.
+    failed: Option<BlobError>,
+    /// Progress clock for the idle-timeout check: message arrivals and
+    /// sub-operations refresh it.
+    last_activity: SimTime,
+}
+
+impl Session {
+    /// Name of the protocol stage the session is currently in.
+    fn stage(&self) -> &'static str {
+        match &self.kind {
+            SessKind::Create => "create",
+            SessKind::Snapshot(_) => "snapshot",
+            SessKind::Decommission(_) => "decommission",
+            SessKind::Write(w) => match w.phase {
+                WritePhase::Ticket => "ticket",
+                WritePhase::Alloc => "alloc",
+                WritePhase::Streaming => "stream",
+                WritePhase::Draining if self.stream => "drain",
+                WritePhase::Draining => "chunks",
+                WritePhase::MetaResolve => "meta_resolve",
+                WritePhase::MetaPut => "meta_put",
+                WritePhase::Commit => "commit",
+            },
+            SessKind::Read(r) => match r.phase {
+                ReadPhase::Version => "version",
+                ReadPhase::Meta => "meta",
+                ReadPhase::Idle => "stream",
+                ReadPhase::Fetching => "chunks",
+            },
+        }
+    }
 }
 
 /// Which sub-protocol a pending request id belongs to, plus retry state
@@ -716,7 +786,7 @@ enum ReqRole {
         attempts: usize,
         refreshed: bool,
     },
-    /// One provider's batch of chunk fetches (window slots grouped by
+    /// One provider's batch of chunk fetches (batch slots grouped by
     /// the replica chosen for each chunk). A single deadline guards the
     /// whole batch; failed or unanswered items re-enter the per-chunk
     /// replica walk individually.
@@ -752,22 +822,54 @@ enum ReqRole {
     },
 }
 
-/// The embeddable client core. Drive it with `start_op`, feed it every
-/// incoming message/timer, and collect [`Completion`]s.
-pub struct ClientCore {
+/// What a session's state machine decided after one message or
+/// sub-operation.
+enum Step {
+    /// Keep waiting; nothing completes.
+    Park,
+    /// Complete the parked sub-operation; the stream stays open.
+    Complete(Result<OpOutput, BlobError>, u64),
+    /// Complete the parked (sub-)operation and end the session (the
+    /// op's reply, commit acknowledged, eof delivered, or a fatal error
+    /// with a waiter to receive it).
+    Finish(Result<OpOutput, BlobError>, u64),
+    /// Fatal error with no sub-operation parked: remember it; the next
+    /// sub-operation delivers it and reaps the stream.
+    Fatal(BlobError),
+}
+
+/// Route a fatal error: to the parked (sub-)operation if one is waiting,
+/// stored for the next sub-operation otherwise.
+fn fail(waiter: &Option<Waiter>, err: BlobError) -> Step {
+    match waiter {
+        Some(_) => Step::Finish(Err(err), 0),
+        None => Step::Fatal(err),
+    }
+}
+
+/// Everything the state machines share across sessions: the
+/// deployment's addresses, the tuning, the request table and the
+/// metadata-node cache.
+struct Conn {
     id: ClientId,
     vman: NodeId,
     pman: NodeId,
     meta_providers: Vec<NodeId>,
     cfg: ClientConfig,
-    sessions: HashMap<u64, Session>,
     req_index: HashMap<u64, (u64, ReqRole)>,
     next_req: u64,
-    next_sid: u64,
     /// Metadata nodes seen (fetched or written) by this client. Nodes are
     /// immutable, so hits skip whole descent rounds with no coherence
     /// protocol.
     meta_cache: MetaCache,
+}
+
+/// The embeddable client core. Drive it with `start_op`, feed it every
+/// incoming message/timer, and collect [`Completion`]s.
+pub struct ClientCore {
+    conn: Conn,
+    sessions: HashMap<u64, Session>,
+    next_sid: u64,
 }
 
 impl ClientCore {
@@ -782,22 +884,24 @@ impl ClientCore {
     ) -> Self {
         assert!(!meta_providers.is_empty(), "at least one metadata provider");
         ClientCore {
-            id,
-            vman,
-            pman,
-            meta_providers,
-            cfg,
+            conn: Conn {
+                id,
+                vman,
+                pman,
+                meta_providers,
+                cfg,
+                req_index: HashMap::new(),
+                next_req: 1,
+                meta_cache: MetaCache::new(cfg.meta_cache_nodes),
+            },
             sessions: HashMap::new(),
-            req_index: HashMap::new(),
-            next_req: 1,
             next_sid: 1,
-            meta_cache: MetaCache::new(cfg.meta_cache_nodes),
         }
     }
 
     /// This client's principal id.
     pub fn id(&self) -> ClientId {
-        self.id
+        self.conn.id
     }
 
     /// Operations currently in flight.
@@ -808,13 +912,6 @@ impl ClientCore {
     /// Does this timer token belong to the client core?
     pub fn owns_timer(token: u64) -> bool {
         token & CLIENT_TIMER_BIT != 0
-    }
-
-    fn fresh_req(&mut self, sid: u64, role: ReqRole) -> u64 {
-        let req = self.next_req;
-        self.next_req += 1;
-        self.req_index.insert(req, (sid, role));
-        req
     }
 
     /// Begin an operation; its completion will carry `tag`.
@@ -829,31 +926,58 @@ impl ClientCore {
     pub fn start_op(&mut self, env: &mut dyn Env, op: ClientOp, tag: u64) -> Vec<Completion> {
         // Stream sub-operations act on an existing session instead of
         // opening one.
-        match op {
-            ClientOp::FeedWriteStream { stream, data } => {
-                return self.wstream_feed(env, stream, data, tag)
-            }
-            ClientOp::CommitWriteStream { stream } => {
-                return self.wstream_commit(env, stream, tag)
-            }
+        let op = match op {
+            ClientOp::FeedWriteStream { stream, data } => return self.feed(env, stream, data, tag),
+            ClientOp::CommitWriteStream { stream } => return self.commit(env, stream, tag),
             ClientOp::AbortWriteStream { stream } | ClientOp::CloseReadStream { stream } => {
-                return self.stream_close(env, stream, tag)
+                return self.close(env, stream, tag)
             }
-            ClientOp::ReadStreamNext { stream } => return self.rstream_next(env, stream, tag),
-            _ => {}
-        }
+            ClientOp::ReadStreamNext { stream } => return self.next(env, stream, tag),
+            op => op,
+        };
+        let stream =
+            matches!(op, ClientOp::OpenWriteStream { .. } | ClientOp::OpenReadStream { .. });
         let sid = self.next_sid;
         self.next_sid += 1;
         let started = env.now();
-        env.set_timer(self.cfg.op_timeout, CLIENT_TIMER_BIT | sid);
-        let op_name = match &op {
-            ClientOp::Create { .. } => "create",
-            ClientOp::Write { .. } => "write",
-            ClientOp::Read { .. } => "read",
-            ClientOp::Snapshot { .. } => "snapshot",
-            ClientOp::Decommission { .. } => "decommission",
-            ClientOp::OpenWriteStream { .. } => "write_stream",
-            ClientOp::OpenReadStream { .. } => "read_stream",
+        env.set_timer(self.conn.cfg.op_timeout, CLIENT_TIMER_BIT | sid);
+        let mut out = Outstanding { sid, reqs: HashSet::new() };
+        let req = self.conn.fresh(&mut out, ReqRole::Plain);
+        let client = self.conn.id;
+        // Every operation opens with one request to the version manager.
+        let (op_name, kind, msg) = match op {
+            ClientOp::Create { spec } => {
+                ("create", SessKind::Create, Msg::CreateBlob { req, client, spec })
+            }
+            ClientOp::Snapshot { blob, version } => (
+                "snapshot",
+                SessKind::Snapshot(blob),
+                Msg::SnapshotVersion { req, client, blob, version },
+            ),
+            ClientOp::Decommission { blob } => (
+                "decommission",
+                SessKind::Decommission(blob),
+                Msg::DecommissionBlob { req, client, blob },
+            ),
+            ClientOp::Write { blob, kind, data } => {
+                let len = data.len();
+                let sess = Box::new(WriteSess::new(blob, Some(data)));
+                ("write", SessKind::Write(sess), Msg::Ticket { req, client, blob, kind, len })
+            }
+            ClientOp::OpenWriteStream { blob, kind, len } => {
+                let sess = Box::new(WriteSess::new(blob, None));
+                (
+                    "write_stream",
+                    SessKind::Write(sess),
+                    Msg::Ticket { req, client, blob, kind, len },
+                )
+            }
+            ClientOp::Read { blob, version, offset, len }
+            | ClientOp::OpenReadStream { blob, version, offset, len } => (
+                if stream { "read_stream" } else { "read" },
+                SessKind::Read(Box::new(ReadSess::new(blob, offset, len))),
+                Msg::GetVersion { req, client, blob, version },
+            ),
             _ => unreachable!("stream sub-ops handled above"),
         };
         let trace = env.span_sink().map(|sink| {
@@ -871,129 +995,21 @@ impl ClientCore {
             }
         });
         env.set_trace_ctx(trace.as_ref().map(|t| t.ctx));
-        let mut sess = Session {
-            tag,
-            started,
-            kind: SessKind::Create,
-            outstanding: HashSet::new(),
-            trace,
-        };
-        match op {
-            ClientOp::Create { spec } => {
-                let req = self.fresh_req(sid, ReqRole::Plain);
-                sess.outstanding.insert(req);
-                self.sessions.insert(sid, sess);
-                env.send(self.vman, Msg::CreateBlob { req, client: self.id, spec });
-            }
-            ClientOp::Write { blob, kind, data } => {
-                sess.kind = SessKind::Write(Box::new(WriteSess {
-                    blob,
-                    data,
-                    ticket: None,
-                    chunks: Vec::new(),
-                    builder: None,
-                    root: None,
-                    phase: WritePhase::Ticket,
-                    pending_puts: Vec::new(),
-                    reallocs: 0,
-                }));
-                let len = match &sess.kind {
-                    SessKind::Write(w) => w.data.len(),
-                    _ => unreachable!(),
-                };
-                let req = self.fresh_req(sid, ReqRole::Plain);
-                sess.outstanding.insert(req);
-                self.sessions.insert(sid, sess);
-                env.send(self.vman, Msg::Ticket { req, client: self.id, blob, kind, len });
-            }
-            ClientOp::Read { blob, version, offset, len } => {
-                sess.kind = SessKind::Read(Box::new(ReadSess {
-                    blob,
-                    offset,
-                    len,
-                    info: None,
-                    reader: None,
-                    page0: 0,
-                    parts: Vec::new(),
-                    phase: ReadPhase::Version,
-                    pending_gets: Vec::new(),
-                    range_used: false,
-                }));
-                let req = self.fresh_req(sid, ReqRole::Plain);
-                sess.outstanding.insert(req);
-                self.sessions.insert(sid, sess);
-                env.send(self.vman, Msg::GetVersion { req, client: self.id, blob, version });
-            }
-            ClientOp::Snapshot { blob, version } => {
-                sess.kind = SessKind::Snapshot(blob);
-                let req = self.fresh_req(sid, ReqRole::Plain);
-                sess.outstanding.insert(req);
-                self.sessions.insert(sid, sess);
-                env.send(self.vman, Msg::SnapshotVersion { req, client: self.id, blob, version });
-            }
-            ClientOp::Decommission { blob } => {
-                sess.kind = SessKind::Decommission(blob);
-                let req = self.fresh_req(sid, ReqRole::Plain);
-                sess.outstanding.insert(req);
-                self.sessions.insert(sid, sess);
-                env.send(self.vman, Msg::DecommissionBlob { req, client: self.id, blob });
-            }
-            ClientOp::OpenWriteStream { blob, kind, len } => {
-                sess.kind = SessKind::WriteStream(Box::new(WriteStreamSess {
-                    blob,
-                    ticket: None,
-                    chunks: Vec::new(),
-                    builder: None,
-                    root: None,
-                    phase: WStreamPhase::Ticket,
-                    acc: BytesMut::new(),
-                    acc_sim: 0,
-                    data_mode: None,
-                    next_page: 0,
-                    queued: std::collections::VecDeque::new(),
-                    page_acks: HashMap::new(),
-                    unacked_bytes: 0,
-                    fed: 0,
-                    peak_buffered: 0,
-                    waiter: Some(StreamWaiter { tag, started, kind: WaiterKind::Open, bytes: 0 }),
-                    failed: None,
-                    reallocs: 0,
-                    last_activity: started,
-                }));
-                let req = self.fresh_req(sid, ReqRole::Plain);
-                sess.outstanding.insert(req);
-                self.sessions.insert(sid, sess);
-                env.send(self.vman, Msg::Ticket { req, client: self.id, blob, kind, len });
-            }
-            ClientOp::OpenReadStream { blob, version, offset, len } => {
-                sess.kind = SessKind::ReadStream(Box::new(ReadStreamSess {
-                    blob,
-                    offset,
-                    len,
-                    info: None,
-                    reader: None,
-                    phase: RStreamPhase::Version,
-                    page0: 0,
-                    sources: Vec::new(),
-                    cursor: 0,
-                    batch_base: 0,
-                    parts: Vec::new(),
-                    waiter: Some(StreamWaiter { tag, started, kind: WaiterKind::Open, bytes: 0 }),
-                    failed: None,
-                    range_used: false,
-                    last_activity: started,
-                }));
-                let req = self.fresh_req(sid, ReqRole::Plain);
-                sess.outstanding.insert(req);
-                self.sessions.insert(sid, sess);
-                env.send(self.vman, Msg::GetVersion { req, client: self.id, blob, version });
-            }
-            ClientOp::FeedWriteStream { .. }
-            | ClientOp::CommitWriteStream { .. }
-            | ClientOp::AbortWriteStream { .. }
-            | ClientOp::ReadStreamNext { .. }
-            | ClientOp::CloseReadStream { .. } => unreachable!("handled above"),
-        }
+        let kind_of_waiter = if stream { WaiterKind::Open } else { WaiterKind::Op };
+        self.sessions.insert(
+            sid,
+            Session {
+                started,
+                kind,
+                stream,
+                out,
+                trace,
+                waiter: Some(Waiter { tag, started, kind: kind_of_waiter, bytes: 0 }),
+                failed: None,
+                last_activity: started,
+            },
+        );
+        env.send(self.conn.vman, msg);
         env.set_trace_ctx(None);
         vec![]
     }
@@ -1015,7 +1031,7 @@ impl ClientCore {
             // refusals identically. Stale timers (request already
             // answered) fall out at the request-index lookup.
             let req = token & !(CLIENT_TIMER_BIT | CHUNK_TIMEOUT_BIT);
-            let msg = match self.req_index.get(&req) {
+            let msg = match self.conn.req_index.get(&req) {
                 Some((_, ReqRole::ChunkPut { .. })) => {
                     Msg::PutChunkErr { req, err: ChunkErr::Unreachable }
                 }
@@ -1025,48 +1041,26 @@ impl ClientCore {
             return self.handle_msg(env, NodeId::EXTERNAL, msg);
         }
         let sid = token & !CLIENT_TIMER_BIT;
-        // Stream sessions are long-lived: their deadline is an *idle*
-        // timeout. If the stream made progress since the timer was
-        // armed, re-arm for the remainder instead of killing it.
-        let idle_since = match self.sessions.get(&sid).map(|s| &s.kind) {
-            Some(SessKind::WriteStream(w)) => Some(w.last_activity),
-            Some(SessKind::ReadStream(r)) => Some(r.last_activity),
-            _ => None,
-        };
-        if let Some(last) = idle_since {
-            let deadline = last + self.cfg.op_timeout;
+        let Some(sess) = self.sessions.get(&sid) else { return vec![] };
+        // A one-shot op's deadline is absolute. A stream is long-lived:
+        // its deadline is an *idle* timeout, so if the stream made
+        // progress since the timer was armed, re-arm for the remainder.
+        if sess.stream {
+            let deadline = sess.last_activity + self.conn.cfg.op_timeout;
             let now = env.now();
             if deadline > now {
                 env.set_timer(deadline.since(now), CLIENT_TIMER_BIT | sid);
                 return vec![];
             }
-            return self.fail_stream(env, sid, BlobError::Timeout);
         }
-        if let Some(sess) = self.sessions.remove(&sid) {
-            for req in &sess.outstanding {
-                self.req_index.remove(req);
-            }
-            if let Some(t) = &sess.trace {
-                let now = env.now();
-                Self::record_stage(env, t, Self::stage_of(&sess.kind), now);
-                Self::record_op(env, t, sess.started, now);
-            }
-            return vec![Completion {
-                tag: sess.tag,
-                result: Err(BlobError::Timeout),
-                started: sess.started,
-                finished: env.now(),
-                bytes: 0,
-            }];
-        }
-        vec![]
+        self.abort(env, sid, BlobError::Timeout)
     }
 
     /// Send the chunk store registered for a deferred (backed-off) resend
     /// under request id `req`, arming a fresh RPC deadline. No-op if the
     /// operation finished (or timed out) while the backoff ran.
     fn fire_deferred_resend(&mut self, env: &mut dyn Env, req: u64) {
-        let Some((sid, ReqRole::ChunkPut { target, items, .. })) = self.req_index.get(&req)
+        let Some((sid, ReqRole::ChunkPut { target, items, .. })) = self.conn.req_index.get(&req)
         else {
             return;
         };
@@ -1074,137 +1068,318 @@ impl ClientCore {
         let target = *target;
         let msg = if items.len() == 1 {
             let (key, data) = items[0].clone();
-            Msg::PutChunk { req, client: self.id, key, data }
+            Msg::PutChunk { req, client: self.conn.id, key, data }
         } else {
-            Msg::PutChunkBatch { req, client: self.id, items: items.clone() }
+            Msg::PutChunkBatch { req, client: self.conn.id, items: items.clone() }
         };
         // The resend belongs to the operation's causal tree.
         let tc = self.sessions.get(&sid).and_then(|s| s.trace.as_ref().map(|t| t.ctx));
         env.set_trace_ctx(tc);
         env.send(target, msg);
         env.set_trace_ctx(None);
-        env.set_timer(self.cfg.retry.put_timeout, CLIENT_TIMER_BIT | CHUNK_TIMEOUT_BIT | req);
+        env.set_timer(self.conn.cfg.retry.put_timeout, CLIENT_TIMER_BIT | CHUNK_TIMEOUT_BIT | req);
     }
 
     /// Feed an incoming message. Returns any operations that completed.
     pub fn handle_msg(&mut self, env: &mut dyn Env, _from: NodeId, msg: Msg) -> Vec<Completion> {
         let Some(req) = req_of(&msg) else { return vec![] };
-        let Some((sid, role)) = self.req_index.remove(&req) else { return vec![] };
+        let Some((sid, role)) = self.conn.req_index.remove(&req) else { return vec![] };
         let Some(sess) = self.sessions.get_mut(&sid) else { return vec![] };
-        sess.outstanding.remove(&req);
-
-        // Stream sessions complete sub-operations without ending the
-        // session, so they run their own state machines.
-        match &sess.kind {
-            SessKind::WriteStream(_) => return self.wstream_msg(env, sid, role, msg),
-            SessKind::ReadStream(_) => return self.rstream_msg(env, sid, role, msg),
-            _ => {}
-        }
-
+        sess.out.reqs.remove(&req);
+        sess.last_activity = env.now();
         // Restore this operation's causal context so every message sent
         // while advancing the protocol nests under its root span, and
         // remember the stage so a phase transition can close its span.
-        let stage_before = Self::stage_of(&sess.kind);
+        let stage_before = sess.stage();
         env.set_trace_ctx(sess.trace.as_ref().map(|t| t.ctx));
+        let step = match &sess.kind {
+            SessKind::Write(_) => self.conn.write_step(sess, role, msg, env),
+            SessKind::Read(_) => self.conn.read_step(sess, role, msg, env),
+            kind => Step::Finish(one_shot_reply(kind, msg), 0),
+        };
+        self.epilogue(env, sid, stage_before, step)
+    }
 
-        let verdict = Self::advance(
-            self.id,
-            self.vman,
-            self.pman,
-            &self.meta_providers,
-            self.cfg,
-            &mut self.meta_cache,
-            &mut self.next_req,
-            &mut self.req_index,
-            sid,
-            sess,
-            role,
-            msg,
-            env,
-        );
-        match verdict {
-            Step::Continue => {
-                if Self::stage_of(&sess.kind) != stage_before {
+    /// Apply a [`Step`] to session `sid`: deliver the waiter's
+    /// completion, end the session on [`Step::Finish`], store a fatal
+    /// error, and close the stage span the step moved out of.
+    fn epilogue(
+        &mut self,
+        env: &mut dyn Env,
+        sid: u64,
+        stage_before: &'static str,
+        step: Step,
+    ) -> Vec<Completion> {
+        let out = match (step, self.sessions.get_mut(&sid)) {
+            (Step::Finish(result, bytes), _) => self.finish(env, sid, stage_before, result, bytes),
+            (_, None) => vec![],
+            (step, Some(sess)) => {
+                let now = env.now();
+                if sess.stage() != stage_before {
                     if let Some(t) = sess.trace.as_mut() {
-                        let now = env.now();
                         Self::record_stage(env, &*t, stage_before, now);
                         t.stage_start = now;
                     }
                 }
-                env.set_trace_ctx(None);
-                vec![]
+                match step {
+                    Step::Complete(result, bytes) => {
+                        sess.last_activity = now;
+                        let waiter = sess.waiter.take();
+                        if let (Some(t), Some(wt)) = (&sess.trace, &waiter) {
+                            Self::record_sub_op(env, t, wt, now);
+                        }
+                        waiter
+                            .map(|wt| Completion {
+                                tag: wt.tag,
+                                result,
+                                started: wt.started,
+                                finished: now,
+                                bytes,
+                            })
+                            .into_iter()
+                            .collect()
+                    }
+                    Step::Fatal(err) => {
+                        for req in sess.out.reqs.drain() {
+                            self.conn.req_index.remove(&req);
+                        }
+                        sess.failed = Some(err);
+                        vec![]
+                    }
+                    Step::Park | Step::Finish(..) => vec![],
+                }
             }
-            Step::Done(result, bytes) => {
-                let sess = self.sessions.remove(&sid).expect("present");
-                for r in &sess.outstanding {
-                    self.req_index.remove(r);
-                }
-                if let Some(t) = &sess.trace {
-                    let now = env.now();
-                    Self::record_stage(env, t, stage_before, now);
-                    Self::record_op(env, t, sess.started, now);
-                }
-                env.set_trace_ctx(None);
-                vec![Completion {
-                    tag: sess.tag,
-                    result,
-                    started: sess.started,
-                    finished: env.now(),
-                    bytes,
-                }]
+        };
+        env.set_trace_ctx(None);
+        out
+    }
+
+    /// End session `sid`: forget its requests, close its stage (`stage`)
+    /// and op spans, and hand `result` to its parked (sub-)operation.
+    fn finish(
+        &mut self,
+        env: &mut dyn Env,
+        sid: u64,
+        stage: &'static str,
+        result: Result<OpOutput, BlobError>,
+        bytes: u64,
+    ) -> Vec<Completion> {
+        let Some(mut sess) = self.sessions.remove(&sid) else { return vec![] };
+        let now = env.now();
+        for req in &sess.out.reqs {
+            self.conn.req_index.remove(req);
+        }
+        let waiter = sess.waiter.take();
+        if let Some(t) = &sess.trace {
+            if let Some(wt) = &waiter {
+                Self::record_sub_op(env, t, wt, now);
+            }
+            Self::record_stage(env, t, stage, now);
+            Self::record_op(env, t, sess.started, now);
+        }
+        waiter
+            .map(|wt| Completion { tag: wt.tag, result, started: wt.started, finished: now, bytes })
+            .into_iter()
+            .collect()
+    }
+
+    /// End session `sid` in its current stage with `err`.
+    fn abort(&mut self, env: &mut dyn Env, sid: u64, err: BlobError) -> Vec<Completion> {
+        let Some(stage) = self.sessions.get(&sid).map(Session::stage) else { return vec![] };
+        self.finish(env, sid, stage, Err(err), 0)
+    }
+
+    /// End stream `sid`, delivering `err` to the sub-operation `tag` that
+    /// found the stream failed or itself broke the stream's protocol.
+    fn reap(
+        &mut self,
+        env: &mut dyn Env,
+        sid: u64,
+        tag: u64,
+        kind: WaiterKind,
+        err: BlobError,
+    ) -> Vec<Completion> {
+        if let Some(sess) = self.sessions.get_mut(&sid) {
+            sess.waiter = Some(Waiter { tag, started: env.now(), kind, bytes: 0 });
+        }
+        self.abort(env, sid, err)
+    }
+
+    /// Admit a stream sub-operation of `kind` on `sid`: `Some` carries
+    /// the completions that end it right here (a stored failure, or an
+    /// unknown, wrong-kind or busy stream).
+    fn admit(
+        &mut self,
+        env: &mut dyn Env,
+        sid: u64,
+        tag: u64,
+        kind: WaiterKind,
+    ) -> Option<Vec<Completion>> {
+        let now = env.now();
+        let reject = |why| Some(vec![instant(tag, now, Err(BlobError::Protocol(why)))]);
+        let Some(sess) = self.sessions.get_mut(&sid) else { return reject("unknown stream") };
+        if let Some(err) = sess.failed.take() {
+            return Some(self.reap(env, sid, tag, kind, err));
+        }
+        match (&sess.kind, kind) {
+            (SessKind::Write(_), WaiterKind::Feed | WaiterKind::Commit) if sess.stream => {}
+            (SessKind::Read(_), WaiterKind::Next) if sess.stream => {}
+            (_, WaiterKind::Next) => return reject("not a read stream"),
+            _ => return reject("not a write stream"),
+        }
+        if sess.waiter.is_some() {
+            return reject("stream sub-operation already in flight");
+        }
+        None
+    }
+
+    /// Close a stream (write-stream abort or read-stream close).
+    /// Idempotent: closing an already-gone stream succeeds, so handle
+    /// drop paths can race eof/timeout teardown safely.
+    fn close(&mut self, env: &mut dyn Env, sid: u64, tag: u64) -> Vec<Completion> {
+        let now = env.now();
+        let closed = instant(tag, now, Ok(OpOutput::StreamClosed { stream: sid }));
+        match self.sessions.get(&sid) {
+            None => vec![closed],
+            Some(sess) if !sess.stream => {
+                vec![instant(tag, now, Err(BlobError::Protocol("not a stream")))]
+            }
+            Some(_) => {
+                // Handles are half-duplex, so no sub-operation should be
+                // parked here — but a racing caller gets a clean error,
+                // not silence.
+                let mut out = self.abort(env, sid, BlobError::Protocol("stream closed"));
+                out.push(closed);
+                out
             }
         }
     }
 
-    /// Name of the protocol stage a session is currently in.
-    fn stage_of(kind: &SessKind) -> &'static str {
-        match kind {
-            SessKind::Create => "create",
-            SessKind::Snapshot(_) => "snapshot",
-            SessKind::Decommission(_) => "decommission",
-            SessKind::Write(w) => match w.phase {
-                WritePhase::Ticket => "ticket",
-                WritePhase::Alloc => "alloc",
-                WritePhase::Chunks => "chunks",
-                WritePhase::MetaResolve => "meta_resolve",
-                WritePhase::MetaPut => "meta_put",
-                WritePhase::Commit => "commit",
-            },
-            SessKind::Read(r) => match r.phase {
-                ReadPhase::Version => "version",
-                ReadPhase::Meta => "meta",
-                ReadPhase::Chunks => "chunks",
-            },
-            SessKind::WriteStream(w) => match w.phase {
-                WStreamPhase::Ticket => "ticket",
-                WStreamPhase::Alloc => "alloc",
-                WStreamPhase::Streaming => "stream",
-                WStreamPhase::Draining => "drain",
-                WStreamPhase::MetaResolve => "meta_resolve",
-                WStreamPhase::MetaPut => "meta_put",
-                WStreamPhase::Commit => "commit",
-            },
-            SessKind::ReadStream(r) => match r.phase {
-                RStreamPhase::Version => "version",
-                RStreamPhase::Meta => "meta",
-                RStreamPhase::Idle => "stream",
-                RStreamPhase::Fetching => "chunks",
-            },
+    /// Push bytes into an open write stream (see
+    /// [`ClientOp::FeedWriteStream`]). Completes synchronously when the
+    /// stream has headroom; otherwise the completion parks until enough
+    /// chunk acks arrive.
+    fn feed(&mut self, env: &mut dyn Env, sid: u64, data: Payload, tag: u64) -> Vec<Completion> {
+        if let Some(out) = self.admit(env, sid, tag, WaiterKind::Feed) {
+            return out;
         }
+        let now = env.now();
+        let sess = self.sessions.get_mut(&sid).expect("admitted");
+        let SessKind::Write(w) = &mut sess.kind else { unreachable!("admitted") };
+        if w.phase != WritePhase::Streaming {
+            return vec![instant(
+                tag,
+                now,
+                Err(BlobError::Protocol("stream is not accepting feeds")),
+            )];
+        }
+        let len = data.len();
+        sess.last_activity = now;
+        env.set_trace_ctx(sess.trace.as_ref().map(|t| t.ctx));
+        let absorbed = self.conn.absorb(&mut sess.out, w, data, env);
+        env.set_trace_ctx(None);
+        if let Err(why) = absorbed {
+            return self.reap(env, sid, tag, WaiterKind::Feed, BlobError::Protocol(why));
+        }
+        let buffered = w.buffered();
+        if buffered > w.peak_buffered {
+            w.peak_buffered = buffered;
+            env.record("client.stream_buffered_bytes", buffered as f64);
+        }
+        if w.feed_ready(self.conn.cfg.chunk_window) {
+            let fed = Ok(OpOutput::Fed { stream: sid });
+            return vec![Completion { tag, result: fed, started: now, finished: now, bytes: len }];
+        }
+        sess.waiter = Some(Waiter { tag, started: now, kind: WaiterKind::Feed, bytes: len });
+        vec![]
+    }
+
+    /// Publish an open write stream (see [`ClientOp::CommitWriteStream`]):
+    /// drain in-flight chunk stores, then run the metadata/commit tail of
+    /// the write protocol.
+    fn commit(&mut self, env: &mut dyn Env, sid: u64, tag: u64) -> Vec<Completion> {
+        if let Some(out) = self.admit(env, sid, tag, WaiterKind::Commit) {
+            return out;
+        }
+        let now = env.now();
+        let sess = self.sessions.get_mut(&sid).expect("admitted");
+        let stage_before = sess.stage();
+        let SessKind::Write(w) = &mut sess.kind else { unreachable!("admitted") };
+        if w.phase != WritePhase::Streaming {
+            let why = "stream is not accepting a commit";
+            return vec![instant(tag, now, Err(BlobError::Protocol(why)))];
+        }
+        if w.fed != w.declared() {
+            let why = "commit before the declared length was fed";
+            return self.reap(env, sid, tag, WaiterKind::Commit, BlobError::Protocol(why));
+        }
+        sess.last_activity = now;
+        sess.waiter = Some(Waiter { tag, started: now, kind: WaiterKind::Commit, bytes: 0 });
+        env.set_trace_ctx(sess.trace.as_ref().map(|t| t.ctx));
+        let step = self.conn.drain(&mut sess.out, w, env);
+        self.epilogue(env, sid, stage_before, step)
+    }
+
+    /// Pull the next window of bytes from an open read stream (see
+    /// [`ClientOp::ReadStreamNext`]); past the last page, deliver eof.
+    fn next(&mut self, env: &mut dyn Env, sid: u64, tag: u64) -> Vec<Completion> {
+        if let Some(out) = self.admit(env, sid, tag, WaiterKind::Next) {
+            return out;
+        }
+        let now = env.now();
+        let sess = self.sessions.get_mut(&sid).expect("admitted");
+        let stage_before = sess.stage();
+        let SessKind::Read(r) = &mut sess.kind else { unreachable!("admitted") };
+        if r.phase != ReadPhase::Idle {
+            return vec![instant(tag, now, Err(BlobError::Protocol("stream is not open")))];
+        }
+        sess.last_activity = now;
+        sess.waiter = Some(Waiter { tag, started: now, kind: WaiterKind::Next, bytes: 0 });
+        // Besides the pipelining window, cap one delivered batch below
+        // 32 MiB: glibc never raises its dynamic mmap threshold past that
+        // (`DEFAULT_MMAP_THRESHOLD_MAX`), so a ≥ 32 MiB assembly buffer is
+        // freshly mmap'd — and page-fault-zeroed — on every `next()`,
+        // which measures ~6× slower than reusable sub-threshold buffers
+        // (E15). The memory bound only tightens.
+        const BATCH_BYTES_CAP: u64 = 16 << 20;
+        let page_cap = ((BATCH_BYTES_CAP / r.page_size().max(1)) as usize).max(1);
+        let mut pages = r.sources.len().min(page_cap);
+        if self.conn.cfg.chunk_window > 0 {
+            pages = pages.min(self.conn.cfg.chunk_window);
+        }
+        env.set_trace_ctx(sess.trace.as_ref().map(|t| t.ctx));
+        let step = self.conn.fetch(&mut sess.out, true, r, pages, env);
+        self.epilogue(env, sid, stage_before, step)
     }
 
     /// Close the stage span that just ended (`start` = when the stage
     /// began, kept in the session's [`OpTrace`]).
     fn record_stage(env: &mut dyn Env, t: &OpTrace, stage: &'static str, end: SimTime) {
+        Self::record_span(env, t, stage, t.stage_start, end);
+    }
+
+    /// Emit a Stage span for one stream sub-operation (the open
+    /// handshake, a parked feed, the commit drain, a pull). One-shot ops
+    /// and synchronous completions (start == end, no latency
+    /// information) are skipped.
+    fn record_sub_op(env: &mut dyn Env, t: &OpTrace, wt: &Waiter, end: SimTime) {
+        if let Some(label) = wt.kind.label() {
+            if wt.started != end {
+                Self::record_span(env, t, label, wt.started, end);
+            }
+        }
+    }
+
+    fn record_span(env: &mut dyn Env, t: &OpTrace, op: &'static str, start: SimTime, end: SimTime) {
         let Some(sink) = env.span_sink() else { return };
         sink.record(SpanRecord {
             trace: t.ctx.trace_id,
             span: sink.next_id(),
             parent: t.ctx.span_id,
             service: "client",
-            op: stage,
+            op,
             node: env.id().0 as u64,
-            start_ns: t.stage_start.as_nanos(),
+            start_ns: start.as_nanos(),
             end_ns: end.as_nanos(),
             kind: SpanKind::Stage,
             class: SpanClass::Control,
@@ -1233,1912 +1408,205 @@ impl ClientCore {
             wire_ns: 0,
         });
     }
+}
 
-    /// One protocol step. Static to sidestep split borrows of `self`.
-    #[allow(clippy::too_many_arguments)]
-    fn advance(
-        client: ClientId,
-        vman: NodeId,
-        pman: NodeId,
-        meta_providers: &[NodeId],
-        cfg: ClientConfig,
-        meta_cache: &mut MetaCache,
-        next_req: &mut u64,
-        req_index: &mut HashMap<u64, (u64, ReqRole)>,
-        sid: u64,
+/// A zero-duration completion (sub-ops that finish synchronously).
+fn instant(tag: u64, now: SimTime, result: Result<OpOutput, BlobError>) -> Completion {
+    Completion { tag, result, started: now, finished: now, bytes: 0 }
+}
+
+/// The version manager's answer to a create, snapshot or decommission.
+fn one_shot_reply(kind: &SessKind, msg: Msg) -> Result<OpOutput, BlobError> {
+    match (kind, msg) {
+        (SessKind::Create, Msg::CreateBlobOk { blob, .. }) => Ok(OpOutput::Created(blob)),
+        (SessKind::Snapshot(blob), Msg::SnapshotVersionOk { version, .. }) => {
+            Ok(OpOutput::Snapshotted { blob: *blob, version })
+        }
+        (SessKind::Snapshot(_), Msg::SnapshotVersionErr { err, .. }) => Err(err),
+        (SessKind::Decommission(blob), Msg::DecommissionBlobOk { ok, .. }) => {
+            Ok(OpOutput::Decommissioned { blob: *blob, ok })
+        }
+        (SessKind::Create, _) => Err(BlobError::Protocol("unexpected reply to create")),
+        (SessKind::Snapshot(_), _) => Err(BlobError::Protocol("unexpected reply to snapshot")),
+        _ => Err(BlobError::Protocol("unexpected reply to decommission")),
+    }
+}
+
+impl Conn {
+    /// Register a new request of session `out.sid` under `role`.
+    fn fresh(&mut self, out: &mut Outstanding, role: ReqRole) -> u64 {
+        let req = self.next_req;
+        self.next_req += 1;
+        self.req_index.insert(req, (out.sid, role));
+        out.reqs.insert(req);
+        req
+    }
+
+    /// The in-flight chunk-transfer cap per operation.
+    fn window(&self) -> usize {
+        match self.cfg.chunk_window {
+            0 => usize::MAX,
+            w => w,
+        }
+    }
+
+    // ---- the write machine -------------------------------------------
+
+    /// One write protocol step, for either kind of caller.
+    fn write_step(
+        &mut self,
         sess: &mut Session,
         role: ReqRole,
         msg: Msg,
         env: &mut dyn Env,
     ) -> Step {
-        let mut fresh = |outstanding: &mut HashSet<u64>, role: ReqRole| {
-            let req = *next_req;
-            *next_req += 1;
-            req_index.insert(req, (sid, role));
-            outstanding.insert(req);
-            req
+        let Session { kind: SessKind::Write(w), out, waiter, .. } = sess else {
+            unreachable!("write session")
         };
-
-        match &mut sess.kind {
-            // Stream sessions are routed to their own machines in
-            // `handle_msg` before `advance` is ever reached.
-            SessKind::WriteStream(_) | SessKind::ReadStream(_) => {
-                unreachable!("stream sessions bypass advance")
-            }
-
-            SessKind::Create => match msg {
-                Msg::CreateBlobOk { blob, .. } => Step::Done(Ok(OpOutput::Created(blob)), 0),
-                _ => Step::Done(Err(BlobError::Protocol("unexpected reply to create")), 0),
-            },
-
-            SessKind::Snapshot(blob) => match msg {
-                Msg::SnapshotVersionOk { version, .. } => {
-                    Step::Done(Ok(OpOutput::Snapshotted { blob: *blob, version }), 0)
-                }
-                Msg::SnapshotVersionErr { err, .. } => Step::Done(Err(err), 0),
-                _ => Step::Done(Err(BlobError::Protocol("unexpected reply to snapshot")), 0),
-            },
-
-            SessKind::Decommission(blob) => match msg {
-                Msg::DecommissionBlobOk { ok, .. } => {
-                    Step::Done(Ok(OpOutput::Decommissioned { blob: *blob, ok }), 0)
-                }
-                _ => Step::Done(Err(BlobError::Protocol("unexpected reply to decommission")), 0),
-            },
-
-            SessKind::Write(w) => match (std::mem::replace(&mut w.phase, WritePhase::Ticket), msg)
-            {
-                (WritePhase::Ticket, Msg::TicketOk { ticket, .. }) => {
-                    let pages = ticket.interval().len;
-                    let req = fresh(&mut sess.outstanding, ReqRole::Plain);
-                    env.send(
-                        pman,
-                        Msg::Alloc {
-                            req,
-                            client,
-                            chunks: pages as u32,
-                            replication: ticket.replication,
-                            chunk_size: ticket.page_size,
-                        },
-                    );
-                    w.ticket = Some(ticket);
-                    w.phase = WritePhase::Alloc;
-                    Step::Continue
-                }
-                (WritePhase::Ticket, Msg::TicketErr { err, .. }) => Step::Done(Err(err), 0),
-
-                (WritePhase::Alloc, Msg::AllocOk { placement, .. }) => {
-                    let ticket = w.ticket.as_ref().expect("ticket set");
-                    let interval = ticket.interval();
-                    debug_assert_eq!(placement.len() as u64, interval.len);
-                    let page = ticket.page_size;
-                    w.chunks = placement
-                        .iter()
-                        .enumerate()
-                        .map(|(i, replicas)| ChunkDescriptor {
-                            key: ChunkKey {
-                                blob: w.blob,
-                                version: ticket.version,
-                                page: interval.start + i as u64,
-                            },
-                            replicas: replicas.clone(),
-                            size: page,
-                        })
-                        .collect();
-                    // Group replica stores by target provider (first-seen
-                    // order, so the schedule stays deterministic), then
-                    // open the in-flight window; each ack refills one
-                    // slot, so chunk I/O pipelines across providers while
-                    // the client's memory and the number of in-flight
-                    // requests stay bounded. A provider holding several of
-                    // this write's chunks gets them in one batched round
-                    // trip instead of one request per chunk.
-                    let mut jobs: Vec<(NodeId, Vec<(ChunkKey, Payload)>)> = Vec::new();
-                    for (i, desc) in w.chunks.iter().enumerate() {
-                        let slice = w.data.slice(i as u64 * page, page);
-                        for replica in &desc.replicas {
-                            match jobs.iter_mut().find(|(t, _)| t == replica) {
-                                Some((_, items)) => items.push((desc.key, slice.clone())),
-                                None => jobs.push((*replica, vec![(desc.key, slice.clone())])),
-                            }
-                        }
-                    }
-                    jobs.reverse(); // pop() = next batch, in first-seen order
-                    w.pending_puts = jobs;
-                    let window = if cfg.chunk_window == 0 { usize::MAX } else { cfg.chunk_window };
-                    while sess.outstanding.len() < window {
-                        let Some((target, items)) = w.pending_puts.pop() else { break };
-                        Self::issue_chunk_put(
-                            client,
-                            cfg.retry,
-                            &mut fresh,
-                            &mut sess.outstanding,
-                            target,
-                            items,
-                            env,
-                        );
-                    }
-                    w.phase = WritePhase::Chunks;
-                    Step::Continue
-                }
-                (WritePhase::Alloc, Msg::AllocErr { available, .. }) => Step::Done(
-                    Err(BlobError::AllocationFailed {
-                        requested: w.data.len().div_ceil(
-                            w.ticket.as_ref().map(|t| t.page_size).unwrap_or(1).max(1),
-                        ) as u32,
-                        available,
-                    }),
-                    0,
-                ),
-
-                (WritePhase::Chunks, Msg::PutChunkOk { .. }) => {
-                    // A slot freed: issue the next queued batch, if any.
-                    if let Some((target, items)) = w.pending_puts.pop() {
-                        Self::issue_chunk_put(
-                            client,
-                            cfg.retry,
-                            &mut fresh,
-                            &mut sess.outstanding,
-                            target,
-                            items,
-                            env,
-                        );
-                    }
-                    if !sess.outstanding.is_empty() {
-                        w.phase = WritePhase::Chunks;
-                        return Step::Continue;
-                    }
-                    // All replicas stored: build metadata.
-                    let ticket = w.ticket.clone().expect("ticket set");
-                    let builder = TreeBuilder::new(
-                        w.blob,
-                        ticket.version,
-                        ticket.interval(),
-                        ticket.page_size,
-                        ticket.new_size,
-                        ticket.base,
-                        ticket.pending.clone(),
-                    );
-                    w.builder = Some(builder);
-                    Self::write_meta_step(client, meta_providers, meta_cache, &mut fresh, sess, env)
-                }
-                (WritePhase::Chunks, Msg::PutChunkErr { err, .. }) => {
-                    if err == ChunkErr::Blocked {
-                        return Step::Done(Err(BlobError::Blocked(client)), 0);
-                    }
-                    let ReqRole::ChunkPut { target, items, attempts } = role else {
-                        return Step::Done(Err(chunk_err(err, client)), 0);
-                    };
-                    if !cfg.retry.enabled() {
-                        return Step::Done(Err(chunk_err(err, client)), 0);
-                    }
-                    if err != ChunkErr::Full && attempts < cfg.retry.max_attempts {
-                        // Same-target retry: register the resend under a
-                        // fresh request id; the backoff timer sends it.
-                        env.incr("client.rpc_retries", 1);
-                        let delay = cfg.retry.backoff(attempts);
-                        let req = fresh(
-                            &mut sess.outstanding,
-                            ReqRole::ChunkPut { target, items, attempts: attempts + 1 },
-                        );
-                        env.set_timer(delay, CLIENT_TIMER_BIT | RETRY_TIMER_BIT | req);
-                        w.phase = WritePhase::Chunks;
-                        return Step::Continue;
-                    }
-                    // Target exhausted (dead) or full: ask the provider
-                    // manager for a replacement placement for these chunks.
-                    if w.reallocs < cfg.retry.max_reallocs {
-                        w.reallocs += 1;
-                        env.incr("client.reallocs", 1);
-                        let page = w.ticket.as_ref().map(|t| t.page_size).unwrap_or(0);
-                        let chunks = items.len() as u32;
-                        let req = fresh(
-                            &mut sess.outstanding,
-                            ReqRole::ReAlloc { failed: target, items },
-                        );
-                        env.send(
-                            pman,
-                            Msg::Alloc { req, client, chunks, replication: 1, chunk_size: page },
-                        );
-                        w.phase = WritePhase::Chunks;
-                        return Step::Continue;
-                    }
-                    match items.first() {
-                        Some((key, _)) => Step::Done(Err(BlobError::ChunkUnavailable(*key)), 0),
-                        None => Step::Done(Err(chunk_err(err, client)), 0),
-                    }
-                }
-
-                (WritePhase::Chunks, Msg::AllocOk { placement, .. }) => {
-                    // A replacement placement arrived for chunk stores
-                    // whose target died: patch the descriptor table so the
-                    // metadata tree records the replacement replica, then
-                    // re-send each chunk to its new home.
-                    let ReqRole::ReAlloc { failed, items } = role else {
-                        return Step::Done(Err(BlobError::Protocol("unexpected write reply")), 0);
-                    };
-                    debug_assert_eq!(placement.len(), items.len());
-                    let mut jobs: Vec<(NodeId, Vec<(ChunkKey, Payload)>)> = Vec::new();
-                    for ((key, data), replicas) in items.into_iter().zip(placement) {
-                        let Some(&new_target) = replicas.first() else {
-                            return Step::Done(Err(BlobError::ChunkUnavailable(key)), 0);
-                        };
-                        if let Some(desc) = w.chunks.iter_mut().find(|d| d.key == key) {
-                            for r in &mut desc.replicas {
-                                if *r == failed {
-                                    *r = new_target;
-                                }
-                            }
-                        }
-                        match jobs.iter_mut().find(|(t, _)| *t == new_target) {
-                            Some((_, batch)) => batch.push((key, data)),
-                            None => jobs.push((new_target, vec![(key, data)])),
-                        }
-                    }
-                    for (target, batch) in jobs {
-                        Self::issue_chunk_put(
-                            client,
-                            cfg.retry,
-                            &mut fresh,
-                            &mut sess.outstanding,
-                            target,
-                            batch,
-                            env,
-                        );
-                    }
-                    w.phase = WritePhase::Chunks;
-                    Step::Continue
-                }
-                (WritePhase::Chunks, Msg::AllocErr { available, .. }) => {
-                    // No replacement capacity anywhere: total unavailability.
-                    if let ReqRole::ReAlloc { items, .. } = role {
-                        if let Some((key, _)) = items.first() {
-                            return Step::Done(Err(BlobError::ChunkUnavailable(*key)), 0);
-                        }
-                    }
-                    Step::Done(Err(BlobError::AllocationFailed { requested: 0, available }), 0)
-                }
-
-                (WritePhase::MetaResolve, Msg::GetMetaOk { nodes, .. }) => {
-                    let builder = w.builder.as_mut().expect("builder set");
-                    for (k, n) in nodes {
-                        match n {
-                            Some(node) => {
-                                builder.supply(k, &node);
-                                meta_cache.insert(k, node);
-                            }
-                            None => return Step::Done(Err(BlobError::MetaUnavailable), 0),
-                        }
-                    }
-                    if !sess.outstanding.is_empty() {
-                        w.phase = WritePhase::MetaResolve;
-                        return Step::Continue;
-                    }
-                    Self::write_meta_step(client, meta_providers, meta_cache, &mut fresh, sess, env)
-                }
-
-                (WritePhase::MetaPut, Msg::PutMetaOk { .. }) => {
-                    if !sess.outstanding.is_empty() {
-                        w.phase = WritePhase::MetaPut;
-                        return Step::Continue;
-                    }
-                    let ticket = w.ticket.as_ref().expect("ticket set");
-                    let req = fresh(&mut sess.outstanding, ReqRole::Plain);
-                    env.send(
-                        vman,
-                        Msg::Commit {
-                            req,
-                            client,
-                            blob: w.blob,
-                            version: ticket.version,
-                            root: w.root.expect("root set in meta phase"),
-                            size: ticket.new_size,
-                        },
-                    );
-                    w.phase = WritePhase::Commit;
-                    Step::Continue
-                }
-
-                (WritePhase::Commit, Msg::CommitOk { version, .. }) => {
-                    let ticket = w.ticket.as_ref().expect("ticket set");
-                    let bytes = ticket.len;
-                    Step::Done(
-                        Ok(OpOutput::Written {
-                            blob: w.blob,
-                            version,
-                            offset: ticket.offset,
-                            len: ticket.len,
-                        }),
-                        bytes,
-                    )
-                }
-                (WritePhase::Commit, Msg::TicketErr { err, .. }) => Step::Done(Err(err), 0),
-
-                (_, _) => Step::Done(Err(BlobError::Protocol("unexpected write reply")), 0),
-            },
-
-            SessKind::Read(r) => match (std::mem::replace(&mut r.phase, ReadPhase::Version), msg, role)
-            {
-                (ReadPhase::Version, Msg::GetVersionOk { info, .. }, _) => {
-                    if r.len == 0 {
-                        let data = if cfg.materialize_zeros {
-                            Payload::Data(bytes::Bytes::new())
-                        } else {
-                            Payload::Sim(0)
-                        };
-                        return Step::Done(
-                            Ok(OpOutput::Read { data, version: info.version }),
-                            0,
-                        );
-                    }
-                    if r.offset >= info.size {
-                        return Step::Done(
-                            Err(BlobError::OutOfBounds {
-                                offset: r.offset,
-                                len: r.len,
-                                size: info.size,
-                            }),
-                            0,
-                        );
-                    }
-                    let eff_len = r.len.min(info.size - r.offset);
-                    r.len = eff_len;
-                    let page = info.page_size;
-                    r.page0 = r.offset / page;
-                    let last = (r.offset + eff_len - 1) / page;
-                    let interval = PageInterval::new(r.page0, last - r.page0 + 1);
-                    let reader = TreeReader::new(r.blob, info.root, interval);
-                    r.parts = (0..interval.len).map(|_| None).collect();
-                    r.info = Some(info);
-                    r.reader = Some(reader);
-                    Self::read_meta_step(client, meta_providers, cfg, meta_cache, &mut fresh, sess, env)
-                }
-                (ReadPhase::Version, Msg::GetVersionErr { err, .. }, _) => Step::Done(Err(err), 0),
-
-                (ReadPhase::Meta, Msg::GetMetaOk { nodes, .. }, _) => {
-                    let reader = r.reader.as_mut().expect("reader set");
-                    for (k, n) in nodes {
-                        match n {
-                            Some(node) => {
-                                reader.supply(k, &node);
-                                meta_cache.insert(k, node);
-                            }
-                            None => return Step::Done(Err(BlobError::MetaUnavailable), 0),
-                        }
-                    }
-                    if !sess.outstanding.is_empty() {
-                        r.phase = ReadPhase::Meta;
-                        return Step::Continue;
-                    }
-                    Self::read_meta_step(client, meta_providers, cfg, meta_cache, &mut fresh, sess, env)
-                }
-
-                (
-                    ReadPhase::Meta,
-                    Msg::GetMetaRangeOk { nodes, more, .. },
-                    ReqRole::MetaRange { target },
-                ) => {
-                    // Bulk reply from one provider's slice of the read
-                    // path: every node only warms the cache. Correctness
-                    // never depends on what the provider chose to send —
-                    // the descent re-runs cache-first below and anything
-                    // the bulk replies missed falls back to per-node
-                    // fetches.
-                    let mut last = None;
-                    for (k, n) in nodes {
-                        last = Some(k.range);
-                        meta_cache.insert(k, n);
-                    }
-                    if more {
-                        if let Some(after) = last {
-                            let (version, query) = r.range_query();
-                            let req =
-                                fresh(&mut sess.outstanding, ReqRole::MetaRange { target });
-                            env.send(
-                                target,
-                                Msg::GetMetaRange {
-                                    req,
-                                    blob: r.blob,
-                                    version,
-                                    query,
-                                    after: Some(after),
-                                    max_nodes: cfg.meta_range_max_nodes,
-                                },
-                            );
-                            r.phase = ReadPhase::Meta;
-                            return Step::Continue;
-                        }
-                    }
-                    if !sess.outstanding.is_empty() {
-                        r.phase = ReadPhase::Meta;
-                        return Step::Continue;
-                    }
-                    Self::read_meta_step(client, meta_providers, cfg, meta_cache, &mut fresh, sess, env)
-                }
-
-                (ReadPhase::Chunks, Msg::GetChunkOk { data, .. }, ReqRole::ChunkGet { idx, .. }) => {
-                    r.parts[idx] = Some(data);
-                    // A slot freed: issue the next queued batch, if any.
-                    if let Some((target, items)) = r.pending_gets.pop() {
-                        Self::issue_chunk_get_batch(
-                            client,
-                            cfg.chunk_timeout,
-                            &mut fresh,
-                            &mut sess.outstanding,
-                            target,
-                            items,
-                            env,
-                        );
-                    }
-                    if sess.outstanding.is_empty() {
-                        return Self::assemble(sess, cfg.materialize_zeros);
-                    }
-                    r.phase = ReadPhase::Chunks;
-                    Step::Continue
-                }
-                (
-                    ReadPhase::Chunks,
-                    Msg::GetChunkBatchOk { items, .. },
-                    ReqRole::ChunkGetBatch { target, items: req_items },
-                ) => {
-                    // Per-item results: store the hits, walk the misses.
-                    // This reply disarms the batch's shared deadline;
-                    // resubmitted items arm their own per-chunk deadlines.
-                    let mut failed: Vec<(usize, ChunkDescriptor)> = Vec::new();
-                    for (idx, desc) in req_items {
-                        match items.iter().find(|(k, _)| *k == desc.key) {
-                            Some((_, Ok(data))) => r.parts[idx] = Some(data.clone()),
-                            Some((_, Err(ChunkErr::Blocked))) => {
-                                return Step::Done(Err(BlobError::Blocked(client)), 0)
-                            }
-                            _ => failed.push((idx, desc)),
-                        }
-                    }
-                    for (idx, desc) in failed {
-                        let first =
-                            desc.replicas.iter().position(|t| *t == target).unwrap_or(0);
-                        if let Err(key) = Self::failover_chunk_get(
-                            client,
-                            cfg,
-                            meta_providers,
-                            &mut fresh,
-                            &mut sess.outstanding,
-                            idx,
-                            desc,
-                            first,
-                            1,
-                            env,
-                        ) {
-                            return Step::Done(Err(BlobError::ChunkUnavailable(key)), 0);
-                        }
-                    }
-                    if let Some((t, items)) = r.pending_gets.pop() {
-                        Self::issue_chunk_get_batch(
-                            client,
-                            cfg.chunk_timeout,
-                            &mut fresh,
-                            &mut sess.outstanding,
-                            t,
-                            items,
-                            env,
-                        );
-                    }
-                    if sess.outstanding.is_empty() {
-                        return Self::assemble(sess, cfg.materialize_zeros);
-                    }
-                    r.phase = ReadPhase::Chunks;
-                    Step::Continue
-                }
-                (
-                    ReadPhase::Chunks,
-                    Msg::GetChunkErr { err, .. },
-                    ReqRole::ChunkGetBatch { target, items },
-                ) => {
-                    // The whole batch failed: the provider refused it, or
-                    // its single shared deadline fired. Each item
-                    // independently re-enters the per-chunk replica walk
-                    // (retries occupy the batch's window slot, so no
-                    // refill here).
-                    if err == ChunkErr::Blocked {
-                        return Step::Done(Err(BlobError::Blocked(client)), 0);
-                    }
-                    for (idx, desc) in items {
-                        let first =
-                            desc.replicas.iter().position(|t| *t == target).unwrap_or(0);
-                        if let Err(key) = Self::failover_chunk_get(
-                            client,
-                            cfg,
-                            meta_providers,
-                            &mut fresh,
-                            &mut sess.outstanding,
-                            idx,
-                            desc,
-                            first,
-                            1,
-                            env,
-                        ) {
-                            return Step::Done(Err(BlobError::ChunkUnavailable(key)), 0);
-                        }
-                    }
-                    r.phase = ReadPhase::Chunks;
-                    Step::Continue
-                }
-                (
-                    ReadPhase::Chunks,
-                    Msg::GetChunkErr { err, .. },
-                    ReqRole::ChunkGet { idx, desc, first, attempts, refreshed },
-                ) => {
-                    if err == ChunkErr::Blocked {
-                        return Step::Done(Err(BlobError::Blocked(client)), 0);
-                    }
-                    if !refreshed {
-                        if let Err(key) = Self::failover_chunk_get(
-                            client,
-                            cfg,
-                            meta_providers,
-                            &mut fresh,
-                            &mut sess.outstanding,
-                            idx,
-                            desc,
-                            first,
-                            attempts,
-                            env,
-                        ) {
-                            return Step::Done(Err(BlobError::ChunkUnavailable(key)), 0);
-                        }
-                        r.phase = ReadPhase::Chunks;
-                        return Step::Continue;
-                    }
-                    // Post-refresh walk: no second leaf refresh.
-                    if attempts < desc.replicas.len() {
-                        env.incr("client.replica_walks", 1);
-                        let target = desc.replicas[(first + attempts) % desc.replicas.len()];
-                        let key = desc.key;
-                        let req = fresh(
-                            &mut sess.outstanding,
-                            ReqRole::ChunkGet {
-                                idx,
-                                desc,
-                                first,
-                                attempts: attempts + 1,
-                                refreshed,
-                            },
-                        );
-                        env.send(target, Msg::GetChunk { req, client, key });
-                        env.set_timer(
-                            cfg.chunk_timeout,
-                            CLIENT_TIMER_BIT | CHUNK_TIMEOUT_BIT | req,
-                        );
-                        r.phase = ReadPhase::Chunks;
-                        return Step::Continue;
-                    }
-                    Step::Done(Err(BlobError::ChunkUnavailable(desc.key)), 0)
-                }
-
-                (
-                    ReadPhase::Chunks,
-                    Msg::GetMetaOk { nodes, .. },
-                    ReqRole::LeafRefresh { idx, desc },
-                ) => {
-                    // The refreshed leaf supersedes the stale cached copy.
-                    let mut fresh_desc = None;
-                    for (k, n) in nodes {
-                        if let Some(MetaNode::Leaf { chunk }) = &n {
-                            fresh_desc = Some(chunk.clone());
-                            meta_cache.insert(k, n.expect("checked Some"));
-                        }
-                    }
-                    match fresh_desc {
-                        Some(chunk) if !chunk.replicas.is_empty() => {
-                            Self::issue_chunk_get(
-                                client,
-                                cfg.chunk_timeout,
-                                &mut fresh,
-                                &mut sess.outstanding,
-                                idx,
-                                chunk,
-                                true,
-                                env,
-                            );
-                            r.phase = ReadPhase::Chunks;
-                            Step::Continue
-                        }
-                        _ => Step::Done(Err(BlobError::ChunkUnavailable(desc.key)), 0),
-                    }
-                }
-
-                (_, _, _) => Step::Done(Err(BlobError::Protocol("unexpected read reply")), 0),
-            },
-        }
-    }
-
-    /// Issue the next round of metadata work for a write session: either
-    /// more base-tree fetches, or (once resolved) the node stores.
-    fn write_meta_step(
-        client: ClientId,
-        meta_providers: &[NodeId],
-        meta_cache: &mut MetaCache,
-        fresh: &mut dyn FnMut(&mut HashSet<u64>, ReqRole) -> u64,
-        sess: &mut Session,
-        env: &mut dyn Env,
-    ) -> Step {
-        let SessKind::Write(w) = &mut sess.kind else { unreachable!() };
-        let builder = w.builder.as_mut().expect("builder set");
-        // Descend as far as the node cache carries us; only go remote for
-        // keys the cache cannot serve, and only once no descent advanced.
-        while !builder.is_ready() {
-            let fetches = builder.needed_fetches();
-            debug_assert!(!fetches.is_empty());
-            let mut missing: Vec<NodeKey> = Vec::new();
-            let mut hits = 0usize;
-            for k in &fetches {
-                match meta_cache.get(k) {
-                    Some(n) => {
-                        builder.supply(*k, n);
-                        hits += 1;
-                    }
-                    None => missing.push(*k),
-                }
-            }
-            if hits == 0 {
-                for (target, keys) in group_by_partition(&missing, meta_providers) {
-                    let req = fresh(&mut sess.outstanding, ReqRole::MetaGet);
-                    env.send(target, Msg::GetMeta { req, keys });
-                }
-                w.phase = WritePhase::MetaResolve;
-                return Step::Continue;
-            }
-            // Some descent advanced; recompute the frontier before
-            // deciding what (if anything) must still be fetched.
-        }
-        // Resolved: emit nodes and store them.
-        let (nodes, root) = builder.build(&w.chunks);
-        w.root = Some(root);
-        let mut per_provider: HashMap<NodeId, Vec<(NodeKey, MetaNode)>> = HashMap::new();
-        for (k, n) in nodes {
-            // The writer will likely read (or extend) this version soon:
-            // warm the cache with the nodes we just built.
-            meta_cache.insert(k, n.clone());
-            let target = meta_providers[partition(&k, meta_providers.len())];
-            per_provider.entry(target).or_default().push((k, n));
-        }
-        let mut targets: Vec<NodeId> = per_provider.keys().copied().collect();
-        targets.sort();
-        for target in targets {
-            let nodes = per_provider.remove(&target).expect("present");
-            let req = fresh(&mut sess.outstanding, ReqRole::Plain);
-            env.send(target, Msg::PutMeta { req, nodes });
-        }
-        let _ = client;
-        w.phase = WritePhase::MetaPut;
-        Step::Continue
-    }
-
-    /// Issue the next round of metadata fetches for a read session, or
-    /// start fetching chunks once the descent completes.
-    fn read_meta_step(
-        client: ClientId,
-        meta_providers: &[NodeId],
-        cfg: ClientConfig,
-        meta_cache: &mut MetaCache,
-        fresh: &mut dyn FnMut(&mut HashSet<u64>, ReqRole) -> u64,
-        sess: &mut Session,
-        env: &mut dyn Env,
-    ) -> Step {
-        let SessKind::Read(r) = &mut sess.kind else { unreachable!() };
-        let reader = r.reader.as_mut().expect("reader set");
-        // Descend through cached nodes without leaving the client; a warm
-        // cache turns the whole level-by-level descent into local work.
-        while !reader.is_done() {
-            let fetches = reader.needed_fetches();
-            debug_assert!(!fetches.is_empty());
-            let mut missing: Vec<NodeKey> = Vec::new();
-            let mut hits = 0usize;
-            for k in &fetches {
-                match meta_cache.get(k) {
-                    Some(n) => {
-                        reader.supply(*k, n);
-                        hits += 1;
-                    }
-                    None => missing.push(*k),
-                }
-            }
-            if hits == 0 {
-                if cfg.meta_range_fetch && !r.range_used {
-                    // Cold cache: instead of walking the tree one level
-                    // per round trip, ask every metadata provider for its
-                    // slice of the read path in one bulk query. Nodes are
-                    // hash-partitioned, so no single provider holds a full
-                    // root-to-leaf path — the broadcast is still one
-                    // logical round trip, replacing O(depth) of them.
-                    r.range_used = true;
-                    let (version, query) = r.range_query();
-                    for target in meta_providers {
-                        let req = fresh(
-                            &mut sess.outstanding,
-                            ReqRole::MetaRange { target: *target },
-                        );
-                        env.send(
-                            *target,
-                            Msg::GetMetaRange {
-                                req,
-                                blob: r.blob,
-                                version,
-                                query,
-                                after: None,
-                                max_nodes: cfg.meta_range_max_nodes,
-                            },
-                        );
-                    }
-                } else {
-                    for (target, keys) in group_by_partition(&missing, meta_providers) {
-                        let req = fresh(&mut sess.outstanding, ReqRole::MetaGet);
-                        env.send(target, Msg::GetMeta { req, keys });
-                    }
-                }
-                r.phase = ReadPhase::Meta;
-                return Step::Continue;
-            }
-        }
-        let reader = r.reader.take().expect("reader set");
-        let info = r.info.as_ref().expect("info set");
-        let page = info.page_size;
-        let sources = reader.into_sources();
-        let mut jobs: Vec<(usize, ChunkDescriptor)> = Vec::new();
-        for (idx, src) in sources.into_iter().enumerate() {
-            match src {
-                PageSource::Hole { .. } => {
-                    // Holes are stored as size-only placeholders; assembly
-                    // turns them into real zero bytes when the read mixes
-                    // them with real-data chunks.
-                    r.parts[idx] = Some(Payload::Sim(page));
-                }
-                PageSource::Chunk(desc) if desc.replicas.is_empty() => {
-                    // A tombstone leaf written by stalled-write recovery:
-                    // the page was never stored, read it as zeros.
-                    r.parts[idx] = Some(Payload::Sim(page));
-                }
-                PageSource::Chunk(desc) => jobs.push((idx, desc)),
-            }
-        }
-        if jobs.is_empty() {
-            return Self::assemble(sess, cfg.materialize_zeros);
-        }
-        // Pick a replica per chunk (one RNG draw each, in page order),
-        // group fetches by chosen provider in first-seen order — the
-        // schedule stays deterministic — then open the in-flight window;
-        // each reply refills one slot. A provider serving several of this
-        // read's chunks gets them in one batched round trip instead of
-        // one request per chunk.
-        let mut groups: Vec<(NodeId, Vec<(usize, ChunkDescriptor)>)> = Vec::new();
-        for (idx, desc) in jobs {
-            let pick = env.rng().random_range(0..desc.replicas.len());
-            let target = desc.replicas[pick];
-            match groups.iter_mut().find(|(t, _)| *t == target) {
-                Some((_, items)) => items.push((idx, desc)),
-                None => groups.push((target, vec![(idx, desc)])),
-            }
-        }
-        groups.reverse(); // pop() = next batch, in first-seen order
-        r.pending_gets = groups;
-        let window = if cfg.chunk_window == 0 { usize::MAX } else { cfg.chunk_window };
-        while sess.outstanding.len() < window {
-            let Some((target, items)) = r.pending_gets.pop() else { break };
-            Self::issue_chunk_get_batch(
-                client,
-                cfg.chunk_timeout,
-                fresh,
-                &mut sess.outstanding,
-                target,
-                items,
-                env,
-            );
-        }
-        r.phase = ReadPhase::Chunks;
-        Step::Continue
-    }
-
-    /// Send one provider's queued chunk stores: a lone chunk as a plain
-    /// `PutChunk`, several as one `PutChunkBatch` round trip. The items
-    /// are kept in the request's role so an enabled [`RetryPolicy`] can
-    /// re-send them (payloads are refcounted views — no data is copied);
-    /// the policy also arms the per-RPC deadline here.
-    fn issue_chunk_put(
-        client: ClientId,
-        retry: RetryPolicy,
-        fresh: &mut dyn FnMut(&mut HashSet<u64>, ReqRole) -> u64,
-        outstanding: &mut HashSet<u64>,
-        target: NodeId,
-        items: Vec<(ChunkKey, Payload)>,
-        env: &mut dyn Env,
-    ) {
-        let req = fresh(
-            outstanding,
-            ReqRole::ChunkPut { target, items: items.clone(), attempts: 1 },
-        );
-        if items.len() == 1 {
-            let (key, data) = items.into_iter().next().expect("one item");
-            env.send(target, Msg::PutChunk { req, client, key, data });
-        } else {
-            env.send(target, Msg::PutChunkBatch { req, client, items });
-        }
-        if retry.enabled() {
-            env.set_timer(retry.put_timeout, CLIENT_TIMER_BIT | CHUNK_TIMEOUT_BIT | req);
-        }
-    }
-
-    /// Send one chunk fetch to a randomly chosen replica, arming the
-    /// per-chunk failover timer.
-    #[allow(clippy::too_many_arguments)]
-    fn issue_chunk_get(
-        client: ClientId,
-        chunk_timeout: SimDuration,
-        fresh: &mut dyn FnMut(&mut HashSet<u64>, ReqRole) -> u64,
-        outstanding: &mut HashSet<u64>,
-        idx: usize,
-        desc: ChunkDescriptor,
-        refreshed: bool,
-        env: &mut dyn Env,
-    ) {
-        let first = env.rng().random_range(0..desc.replicas.len());
-        let target = desc.replicas[first];
-        let key = desc.key;
-        let req = fresh(
-            outstanding,
-            ReqRole::ChunkGet { idx, desc, first, attempts: 1, refreshed },
-        );
-        env.send(target, Msg::GetChunk { req, client, key });
-        env.set_timer(chunk_timeout, CLIENT_TIMER_BIT | CHUNK_TIMEOUT_BIT | req);
-    }
-
-    /// Send one provider's queued chunk fetches: a lone chunk as a plain
-    /// `GetChunk` (classic per-chunk replica walk), several as one
-    /// `GetChunkBatch` round trip. One deadline guards the whole batch;
-    /// items that fail or go unanswered re-enter the per-chunk walk
-    /// individually, each arming its own deadline.
-    fn issue_chunk_get_batch(
-        client: ClientId,
-        chunk_timeout: SimDuration,
-        fresh: &mut dyn FnMut(&mut HashSet<u64>, ReqRole) -> u64,
-        outstanding: &mut HashSet<u64>,
-        target: NodeId,
-        items: Vec<(usize, ChunkDescriptor)>,
-        env: &mut dyn Env,
-    ) {
-        if items.len() == 1 {
-            let (idx, desc) = items.into_iter().next().expect("one item");
-            let first = desc.replicas.iter().position(|t| *t == target).unwrap_or(0);
-            let key = desc.key;
-            let req = fresh(
-                outstanding,
-                ReqRole::ChunkGet { idx, desc, first, attempts: 1, refreshed: false },
-            );
-            env.send(target, Msg::GetChunk { req, client, key });
-            env.set_timer(chunk_timeout, CLIENT_TIMER_BIT | CHUNK_TIMEOUT_BIT | req);
-            return;
-        }
-        let keys: Vec<ChunkKey> = items.iter().map(|(_, d)| d.key).collect();
-        let req = fresh(outstanding, ReqRole::ChunkGetBatch { target, items });
-        env.send(target, Msg::GetChunkBatch { req, client, keys });
-        env.set_timer(chunk_timeout, CLIENT_TIMER_BIT | CHUNK_TIMEOUT_BIT | req);
-    }
-
-    /// Walk a failed chunk fetch to the next replica (arming a fresh
-    /// per-chunk deadline) or — once every replica was tried — re-fetch
-    /// the chunk's leaf in case a replication repair moved it. `Err(key)`
-    /// means the chunk is unavailable and the read must fail.
-    #[allow(clippy::too_many_arguments)]
-    fn failover_chunk_get(
-        client: ClientId,
-        cfg: ClientConfig,
-        meta_providers: &[NodeId],
-        fresh: &mut dyn FnMut(&mut HashSet<u64>, ReqRole) -> u64,
-        outstanding: &mut HashSet<u64>,
-        idx: usize,
-        desc: ChunkDescriptor,
-        first: usize,
-        attempts: usize,
-        env: &mut dyn Env,
-    ) -> Result<(), ChunkKey> {
-        if attempts < desc.replicas.len() {
-            env.incr("client.replica_walks", 1);
-            let target = desc.replicas[(first + attempts) % desc.replicas.len()];
-            let key = desc.key;
-            let req = fresh(
-                outstanding,
-                ReqRole::ChunkGet { idx, desc, first, attempts: attempts + 1, refreshed: false },
-            );
-            env.send(target, Msg::GetChunk { req, client, key });
-            env.set_timer(cfg.chunk_timeout, CLIENT_TIMER_BIT | CHUNK_TIMEOUT_BIT | req);
-            return Ok(());
-        }
-        if cfg.retry.enabled() {
-            // Degraded read: every known replica failed, but a replication
-            // repair may have patched the leaf with fresh replicas since
-            // this descent cached it. Re-fetch the leaf directly
-            // (bypassing the cache) and retry against whatever placement
-            // it records.
-            let key = NodeKey {
-                blob: desc.key.blob,
-                version: desc.key.version,
-                range: NodeRange::new(desc.key.page, 1),
-            };
-            let owner = meta_providers[partition(&key, meta_providers.len())];
-            let req = fresh(outstanding, ReqRole::LeafRefresh { idx, desc });
-            env.send(owner, Msg::GetMeta { req, keys: vec![key] });
-            return Ok(());
-        }
-        Err(desc.key)
-    }
-
-    /// All parts present: splice the requested byte range out of the page
-    /// row and complete the read.
-    fn assemble(sess: &mut Session, materialize_zeros: bool) -> Step {
-        let SessKind::Read(r) = &mut sess.kind else { unreachable!() };
-        let info = r.info.as_ref().expect("info set");
-        let page = info.page_size;
-        let skip = r.offset - r.page0 * page;
-        let total = r.len;
-        // Zero-copy fast path: a range inside a single real-data page is
-        // served as a refcounted sub-slice of the stored chunk — no copy
-        // from provider buffer to client buffer anywhere on the path.
-        if r.parts.len() == 1 {
-            if let Some(Payload::Data(b)) = &r.parts[0] {
-                if (skip + total) as usize <= b.len() {
-                    let data = Payload::Data(b.slice(skip as usize..(skip + total) as usize));
-                    return Step::Done(
-                        Ok(OpOutput::Read { data, version: info.version }),
-                        total,
-                    );
-                }
-            }
-        }
-        // Real bytes iff every non-hole part carries real bytes and the
-        // deployment stores real data; holes become zero bytes then.
-        let any_real = r.parts.iter().flatten().any(|p| matches!(p, Payload::Data(_)));
-        let data = if any_real || materialize_zeros {
-            let mut buf = BytesMut::with_capacity(total as usize);
-            let mut remaining = total;
-            let mut offset_in_part = skip;
-            for part in r.parts.iter().flatten() {
-                if remaining == 0 {
-                    break;
-                }
-                let avail = page - offset_in_part;
-                let take = avail.min(remaining);
-                match part {
-                    Payload::Data(b) => {
-                        let s = offset_in_part as usize;
-                        let e = ((offset_in_part + take) as usize).min(b.len());
-                        if s < b.len() {
-                            buf.extend_from_slice(&b[s..e]);
-                        }
-                        // Chunks are always full pages; pad defensively.
-                        let got = e.saturating_sub(s) as u64;
-                        if got < take {
-                            buf.extend(std::iter::repeat_n(0u8, (take - got) as usize));
-                        }
-                    }
-                    Payload::Sim(_) => {
-                        buf.extend(std::iter::repeat_n(0u8, take as usize));
-                    }
-                }
-                remaining -= take;
-                offset_in_part = 0;
-            }
-            Payload::Data(buf.freeze())
-        } else {
-            Payload::Sim(total)
-        };
-        let version = info.version;
-        let bytes = total;
-        Step::Done(Ok(OpOutput::Read { data, version }), bytes)
-    }
-
-    // ---- streaming sessions ------------------------------------------
-
-    /// A zero-duration completion (sub-ops that finish synchronously).
-    fn instant(tag: u64, now: SimTime, result: Result<OpOutput, BlobError>) -> Completion {
-        Completion { tag, result, started: now, finished: now, bytes: 0 }
-    }
-
-    /// Take (and clear) a stored fatal error from a stream session.
-    fn stream_take_failure(&mut self, sid: u64) -> Option<BlobError> {
-        match self.sessions.get_mut(&sid).map(|s| &mut s.kind) {
-            Some(SessKind::WriteStream(w)) => w.failed.take(),
-            Some(SessKind::ReadStream(r)) => r.failed.take(),
-            _ => None,
-        }
-    }
-
-    /// Tear a stream session down and deliver `err` to the sub-operation
-    /// tagged `tag` (used when a stored failure is picked up, or when a
-    /// sub-operation itself turns out to be fatal).
-    fn stream_reap(
-        &mut self,
-        env: &mut dyn Env,
-        sid: u64,
-        tag: u64,
-        err: BlobError,
-    ) -> Vec<Completion> {
-        let now = env.now();
-        if let Some(sess) = self.sessions.remove(&sid) {
-            for req in &sess.outstanding {
-                self.req_index.remove(req);
-            }
-            if let Some(t) = &sess.trace {
-                Self::record_stage(env, t, Self::stage_of(&sess.kind), now);
-                Self::record_op(env, t, sess.started, now);
-            }
-        }
-        vec![Self::instant(tag, now, Err(err))]
-    }
-
-    /// Idle-timeout a stream session: the error goes to the parked
-    /// sub-operation if one is waiting, and the stream is torn down.
-    fn fail_stream(&mut self, env: &mut dyn Env, sid: u64, err: BlobError) -> Vec<Completion> {
-        let now = env.now();
-        let Some(mut sess) = self.sessions.remove(&sid) else { return vec![] };
-        for req in &sess.outstanding {
-            self.req_index.remove(req);
-        }
-        let waiter = match &mut sess.kind {
-            SessKind::WriteStream(w) => w.waiter.take(),
-            SessKind::ReadStream(r) => r.waiter.take(),
-            _ => None,
-        };
-        if let Some(t) = &sess.trace {
-            Self::record_stage(env, t, Self::stage_of(&sess.kind), now);
-            Self::record_op(env, t, sess.started, now);
-        }
-        match waiter {
-            Some(wt) => vec![Completion {
-                tag: wt.tag,
-                result: Err(err),
-                started: wt.started,
-                finished: now,
-                bytes: 0,
-            }],
-            None => vec![],
-        }
-    }
-
-    /// Close a stream (write-stream abort or read-stream close).
-    /// Idempotent: closing an already-gone stream succeeds, so handle
-    /// drop paths can race eof/timeout teardown safely.
-    fn stream_close(&mut self, env: &mut dyn Env, sid: u64, tag: u64) -> Vec<Completion> {
-        let now = env.now();
-        let is_stream = matches!(
-            self.sessions.get(&sid).map(|s| &s.kind),
-            Some(SessKind::WriteStream(_) | SessKind::ReadStream(_))
-        );
-        if !is_stream {
-            if self.sessions.contains_key(&sid) {
-                return vec![Self::instant(tag, now, Err(BlobError::Protocol("not a stream")))];
-            }
-            return vec![Self::instant(tag, now, Ok(OpOutput::StreamClosed { stream: sid }))];
-        }
-        let mut sess = self.sessions.remove(&sid).expect("checked present");
-        for req in &sess.outstanding {
-            self.req_index.remove(req);
-        }
-        let waiter = match &mut sess.kind {
-            SessKind::WriteStream(w) => w.waiter.take(),
-            SessKind::ReadStream(r) => r.waiter.take(),
-            _ => None,
-        };
-        if let Some(t) = &sess.trace {
-            Self::record_stage(env, t, Self::stage_of(&sess.kind), now);
-            Self::record_op(env, t, sess.started, now);
-        }
-        let mut out = Vec::new();
-        // Handles are half-duplex, so no sub-operation should be parked
-        // here — but a racing caller gets a clean error, not silence.
-        if let Some(wt) = waiter {
-            out.push(Completion {
-                tag: wt.tag,
-                result: Err(BlobError::Protocol("stream closed")),
-                started: wt.started,
-                finished: now,
-                bytes: 0,
-            });
-        }
-        out.push(Self::instant(tag, now, Ok(OpOutput::StreamClosed { stream: sid })));
-        out
-    }
-
-    /// Push bytes into an open write stream (see
-    /// [`ClientOp::FeedWriteStream`]). Completes synchronously when the
-    /// stream has headroom; otherwise the completion parks until enough
-    /// chunk acks arrive.
-    fn wstream_feed(
-        &mut self,
-        env: &mut dyn Env,
-        sid: u64,
-        data: Payload,
-        tag: u64,
-    ) -> Vec<Completion> {
-        let now = env.now();
-        if let Some(err) = self.stream_take_failure(sid) {
-            return self.stream_reap(env, sid, tag, err);
-        }
-        let Some(sess) = self.sessions.get_mut(&sid) else {
-            return vec![Self::instant(tag, now, Err(BlobError::Protocol("unknown stream")))];
-        };
-        let SessKind::WriteStream(w) = &mut sess.kind else {
-            return vec![Self::instant(tag, now, Err(BlobError::Protocol("not a write stream")))];
-        };
-        if w.waiter.is_some() {
-            return vec![Self::instant(
-                tag,
-                now,
-                Err(BlobError::Protocol("stream sub-operation already in flight")),
-            )];
-        }
-        if w.phase != WStreamPhase::Streaming {
-            return vec![Self::instant(
-                tag,
-                now,
-                Err(BlobError::Protocol("stream is not accepting feeds")),
-            )];
-        }
-        let len = data.len();
-        let declared = w.ticket.as_ref().map(|t| t.len).unwrap_or(0);
-        if w.fed + len > declared {
-            return self.stream_reap(
-                env,
-                sid,
-                tag,
-                BlobError::Protocol("feed exceeds the declared stream length"),
-            );
-        }
-        match data {
-            Payload::Data(b) => {
-                if w.data_mode == Some(false) {
-                    return self.stream_reap(
-                        env,
-                        sid,
-                        tag,
-                        BlobError::Protocol("mixed real and simulated payloads in one stream"),
-                    );
-                }
-                w.data_mode = Some(true);
-                // Zero-copy fast path: with an empty accumulator, whole
-                // pages are cut straight off the fed buffer as refcounted
-                // sub-slices; only a sub-page tail goes through `acc`.
-                let page = w.page_size() as usize;
-                let mut b = b;
-                if page > 0 && w.acc.is_empty() {
-                    let mut at = 0usize;
-                    while b.len() - at >= page && (w.next_page as usize) < w.chunks.len() {
-                        let piece = Payload::Data(b.slice(at..at + page));
-                        Self::wstream_enqueue(w, piece);
-                        at += page;
-                    }
-                    if at > 0 {
-                        b = b.slice(at..b.len());
-                    }
-                }
-                if !b.is_empty() {
-                    w.acc.extend_from_slice(&b);
-                }
-            }
-            Payload::Sim(n) => {
-                if w.data_mode == Some(true) {
-                    return self.stream_reap(
-                        env,
-                        sid,
-                        tag,
-                        BlobError::Protocol("mixed real and simulated payloads in one stream"),
-                    );
-                }
-                w.data_mode = Some(false);
-                w.acc_sim += n;
-            }
-        }
-        w.fed += len;
-        w.last_activity = now;
-        Self::wstream_cut(w);
-        env.set_trace_ctx(sess.trace.as_ref().map(|t| t.ctx));
-        let next_req = &mut self.next_req;
-        let req_index = &mut self.req_index;
-        let mut fresh = |outstanding: &mut HashSet<u64>, role: ReqRole| {
-            let req = *next_req;
-            *next_req += 1;
-            req_index.insert(req, (sid, role));
-            outstanding.insert(req);
-            req
-        };
-        Self::wstream_pump(self.id, self.cfg, &mut fresh, &mut sess.outstanding, w, env);
-        env.set_trace_ctx(None);
-        let buffered = w.buffered();
-        if buffered > w.peak_buffered {
-            w.peak_buffered = buffered;
-            env.record("client.stream_buffered_bytes", buffered as f64);
-        }
-        if w.feed_ready(self.cfg.chunk_window) {
-            return vec![Completion {
-                tag,
-                result: Ok(OpOutput::Fed { stream: sid }),
-                started: now,
-                finished: now,
-                bytes: len,
-            }];
-        }
-        w.waiter = Some(StreamWaiter { tag, started: now, kind: WaiterKind::Feed, bytes: len });
-        vec![]
-    }
-
-    /// Publish an open write stream (see [`ClientOp::CommitWriteStream`]):
-    /// drain in-flight chunk stores, then run the metadata/commit tail of
-    /// the write protocol.
-    fn wstream_commit(&mut self, env: &mut dyn Env, sid: u64, tag: u64) -> Vec<Completion> {
-        let now = env.now();
-        if let Some(err) = self.stream_take_failure(sid) {
-            return self.stream_reap(env, sid, tag, err);
-        }
-        let Some(sess) = self.sessions.get_mut(&sid) else {
-            return vec![Self::instant(tag, now, Err(BlobError::Protocol("unknown stream")))];
-        };
-        let stage_before = Self::stage_of(&sess.kind);
-        let SessKind::WriteStream(w) = &mut sess.kind else {
-            return vec![Self::instant(tag, now, Err(BlobError::Protocol("not a write stream")))];
-        };
-        if w.waiter.is_some() {
-            return vec![Self::instant(
-                tag,
-                now,
-                Err(BlobError::Protocol("stream sub-operation already in flight")),
-            )];
-        }
-        if w.phase != WStreamPhase::Streaming {
-            return vec![Self::instant(
-                tag,
-                now,
-                Err(BlobError::Protocol("stream is not accepting a commit")),
-            )];
-        }
-        let declared = w.ticket.as_ref().map(|t| t.len).unwrap_or(0);
-        if w.fed != declared {
-            return self.stream_reap(
-                env,
-                sid,
-                tag,
-                BlobError::Protocol("commit before the declared length was fed"),
-            );
-        }
-        w.phase = WStreamPhase::Draining;
-        w.last_activity = now;
-        w.waiter = Some(StreamWaiter { tag, started: now, kind: WaiterKind::Commit, bytes: declared });
-        if !sess.outstanding.is_empty() {
-            return self.stream_epilogue(env, sid, stage_before, StreamStep::Park);
-        }
-        debug_assert!(w.queued.is_empty(), "queued chunks with an empty in-flight window");
-        // Nothing in flight: go straight to the metadata phase.
-        env.set_trace_ctx(sess.trace.as_ref().map(|t| t.ctx));
-        let next_req = &mut self.next_req;
-        let req_index = &mut self.req_index;
-        let mut fresh = |outstanding: &mut HashSet<u64>, role: ReqRole| {
-            let req = *next_req;
-            *next_req += 1;
-            req_index.insert(req, (sid, role));
-            outstanding.insert(req);
-            req
-        };
-        let step = Self::wstream_meta_step(
-            &self.meta_providers,
-            &mut self.meta_cache,
-            &mut fresh,
-            &mut sess.outstanding,
-            w,
-            env,
-        );
-        self.stream_epilogue(env, sid, stage_before, step)
-    }
-
-    /// Pull the next window of bytes from an open read stream (see
-    /// [`ClientOp::ReadStreamNext`]).
-    fn rstream_next(&mut self, env: &mut dyn Env, sid: u64, tag: u64) -> Vec<Completion> {
-        let now = env.now();
-        if let Some(err) = self.stream_take_failure(sid) {
-            return self.stream_reap(env, sid, tag, err);
-        }
-        let Some(sess) = self.sessions.get_mut(&sid) else {
-            return vec![Self::instant(tag, now, Err(BlobError::Protocol("unknown stream")))];
-        };
-        let stage_before = Self::stage_of(&sess.kind);
-        let SessKind::ReadStream(r) = &mut sess.kind else {
-            return vec![Self::instant(tag, now, Err(BlobError::Protocol("not a read stream")))];
-        };
-        if r.waiter.is_some() {
-            return vec![Self::instant(
-                tag,
-                now,
-                Err(BlobError::Protocol("stream sub-operation already in flight")),
-            )];
-        }
-        if r.phase != RStreamPhase::Idle {
-            return vec![Self::instant(tag, now, Err(BlobError::Protocol("stream is not open")))];
-        }
-        r.last_activity = now;
-        // Past the last page: deliver eof, auto-closing the stream.
-        if r.cursor >= r.sources.len() {
-            let data = if self.cfg.materialize_zeros {
-                Payload::Data(bytes::Bytes::new())
-            } else {
-                Payload::Sim(0)
-            };
-            r.waiter = Some(StreamWaiter { tag, started: now, kind: WaiterKind::Next, bytes: 0 });
-            let out = OpOutput::ReadChunk { stream: sid, data, eof: true };
-            return self.stream_epilogue(env, sid, stage_before, StreamStep::Finish(Ok(out), 0));
-        }
-        let page = r.info.as_ref().expect("info set").page_size;
-        let remaining = r.sources.len() - r.cursor;
-        // Besides the pipelining window, cap one delivered batch below
-        // 32 MiB: glibc never raises its dynamic mmap threshold past that
-        // (`DEFAULT_MMAP_THRESHOLD_MAX`), so a ≥ 32 MiB assembly buffer is
-        // freshly mmap'd — and page-fault-zeroed — on every `next()`,
-        // which measures ~6× slower than reusable sub-threshold buffers
-        // (E15). The memory bound only tightens.
-        const BATCH_BYTES_CAP: u64 = 16 << 20;
-        let page_cap = ((BATCH_BYTES_CAP / page.max(1)) as usize).max(1);
-        let window = if self.cfg.chunk_window == 0 {
-            remaining.min(page_cap)
-        } else {
-            self.cfg.chunk_window.min(remaining).min(page_cap)
-        };
-        r.batch_base = r.cursor;
-        r.parts = (0..window).map(|_| None).collect();
-        r.cursor += window;
-        let mut jobs: Vec<(usize, ChunkDescriptor)> = Vec::new();
-        for i in 0..window {
-            match r.sources[r.batch_base + i].clone() {
-                PageSource::Hole { .. } => r.parts[i] = Some(Payload::Sim(page)),
-                PageSource::Chunk(desc) if desc.replicas.is_empty() => {
-                    // Tombstone leaf from stalled-write recovery: zeros.
-                    r.parts[i] = Some(Payload::Sim(page));
-                }
-                PageSource::Chunk(desc) => jobs.push((i, desc)),
-            }
-        }
-        if jobs.is_empty() {
-            let (result, bytes, eof) = Self::rstream_assemble(sid, r, self.cfg.materialize_zeros);
-            r.waiter = Some(StreamWaiter { tag, started: now, kind: WaiterKind::Next, bytes });
-            let step = if eof {
-                StreamStep::Finish(result, bytes)
-            } else {
-                StreamStep::Complete(result, bytes)
-            };
-            return self.stream_epilogue(env, sid, stage_before, step);
-        }
-        env.set_trace_ctx(sess.trace.as_ref().map(|t| t.ctx));
-        let mut groups: Vec<(NodeId, Vec<(usize, ChunkDescriptor)>)> = Vec::new();
-        for (idx, desc) in jobs {
-            let pick = env.rng().random_range(0..desc.replicas.len());
-            let target = desc.replicas[pick];
-            match groups.iter_mut().find(|(t, _)| *t == target) {
-                Some((_, items)) => items.push((idx, desc)),
-                None => groups.push((target, vec![(idx, desc)])),
-            }
-        }
-        let next_req = &mut self.next_req;
-        let req_index = &mut self.req_index;
-        let mut fresh = |outstanding: &mut HashSet<u64>, role: ReqRole| {
-            let req = *next_req;
-            *next_req += 1;
-            req_index.insert(req, (sid, role));
-            outstanding.insert(req);
-            req
-        };
-        for (target, items) in groups {
-            Self::issue_chunk_get_batch(
-                self.id,
-                self.cfg.chunk_timeout,
-                &mut fresh,
-                &mut sess.outstanding,
-                target,
-                items,
-                env,
-            );
-        }
-        env.set_trace_ctx(None);
-        r.phase = RStreamPhase::Fetching;
-        r.waiter = Some(StreamWaiter { tag, started: now, kind: WaiterKind::Next, bytes: 0 });
-        vec![]
-    }
-
-    /// Route a message to a write-stream session's state machine.
-    fn wstream_msg(
-        &mut self,
-        env: &mut dyn Env,
-        sid: u64,
-        role: ReqRole,
-        msg: Msg,
-    ) -> Vec<Completion> {
-        let sess = self.sessions.get_mut(&sid).expect("stream session present");
-        let stage_before = Self::stage_of(&sess.kind);
-        env.set_trace_ctx(sess.trace.as_ref().map(|t| t.ctx));
-        let step = Self::wstream_step(
-            self.id,
-            self.vman,
-            self.pman,
-            &self.meta_providers,
-            self.cfg,
-            &mut self.meta_cache,
-            &mut self.next_req,
-            &mut self.req_index,
-            sid,
-            sess,
-            role,
-            msg,
-            env,
-        );
-        self.stream_epilogue(env, sid, stage_before, step)
-    }
-
-    /// Route a message to a read-stream session's state machine.
-    fn rstream_msg(
-        &mut self,
-        env: &mut dyn Env,
-        sid: u64,
-        role: ReqRole,
-        msg: Msg,
-    ) -> Vec<Completion> {
-        let sess = self.sessions.get_mut(&sid).expect("stream session present");
-        let stage_before = Self::stage_of(&sess.kind);
-        env.set_trace_ctx(sess.trace.as_ref().map(|t| t.ctx));
-        let step = Self::rstream_step(
-            self.id,
-            &self.meta_providers,
-            self.cfg,
-            &mut self.meta_cache,
-            &mut self.next_req,
-            &mut self.req_index,
-            sid,
-            sess,
-            role,
-            msg,
-            env,
-        );
-        self.stream_epilogue(env, sid, stage_before, step)
-    }
-
-    /// Apply a [`StreamStep`] to the session: deliver waiter completions,
-    /// tear the stream down on [`StreamStep::Finish`], store fatal errors,
-    /// and keep the stage-span bookkeeping in line with the classic path.
-    fn stream_epilogue(
-        &mut self,
-        env: &mut dyn Env,
-        sid: u64,
-        stage_before: &'static str,
-        step: StreamStep,
-    ) -> Vec<Completion> {
-        let now = env.now();
-        let out = match step {
-            StreamStep::Park => {
-                self.stream_stage_note(env, sid, stage_before);
-                vec![]
-            }
-            StreamStep::Complete(result, bytes) => {
-                self.stream_stage_note(env, sid, stage_before);
-                let mut out = Vec::new();
-                if let Some(sess) = self.sessions.get_mut(&sid) {
-                    let waiter = match &mut sess.kind {
-                        SessKind::WriteStream(w) => {
-                            w.last_activity = now;
-                            w.waiter.take()
-                        }
-                        SessKind::ReadStream(r) => {
-                            r.last_activity = now;
-                            r.waiter.take()
-                        }
-                        _ => None,
-                    };
-                    if let Some(wt) = waiter {
-                        if let Some(t) = &sess.trace {
-                            Self::record_stream_span(env, t, sub_op_label(wt.kind), wt.started, now);
-                        }
-                        out.push(Completion {
-                            tag: wt.tag,
-                            result,
-                            started: wt.started,
-                            finished: now,
-                            bytes,
-                        });
-                    }
-                }
-                out
-            }
-            StreamStep::Finish(result, bytes) => {
-                let mut out = Vec::new();
-                if let Some(mut sess) = self.sessions.remove(&sid) {
-                    for req in &sess.outstanding {
-                        self.req_index.remove(req);
-                    }
-                    let waiter = match &mut sess.kind {
-                        SessKind::WriteStream(w) => w.waiter.take(),
-                        SessKind::ReadStream(r) => r.waiter.take(),
-                        _ => None,
-                    };
-                    if let Some(t) = &sess.trace {
-                        if let Some(wt) = &waiter {
-                            Self::record_stream_span(env, t, sub_op_label(wt.kind), wt.started, now);
-                        }
-                        Self::record_stage(env, t, stage_before, now);
-                        Self::record_op(env, t, sess.started, now);
-                    }
-                    if let Some(wt) = waiter {
-                        out.push(Completion {
-                            tag: wt.tag,
-                            result,
-                            started: wt.started,
-                            finished: now,
-                            bytes,
-                        });
-                    }
-                }
-                out
-            }
-            StreamStep::Fatal(err) => {
-                self.stream_stage_note(env, sid, stage_before);
-                if let Some(sess) = self.sessions.get_mut(&sid) {
-                    let reqs: Vec<u64> = sess.outstanding.drain().collect();
-                    for req in reqs {
-                        self.req_index.remove(&req);
-                    }
-                    match &mut sess.kind {
-                        SessKind::WriteStream(w) => w.failed = Some(err),
-                        SessKind::ReadStream(r) => r.failed = Some(err),
-                        _ => {}
-                    }
-                }
-                vec![]
-            }
-        };
-        env.set_trace_ctx(None);
-        out
-    }
-
-    /// Close the previous stage's span if the stream just moved stages.
-    fn stream_stage_note(&mut self, env: &mut dyn Env, sid: u64, stage_before: &'static str) {
-        if let Some(sess) = self.sessions.get_mut(&sid) {
-            if Self::stage_of(&sess.kind) != stage_before {
-                if let Some(t) = sess.trace.as_mut() {
-                    let now = env.now();
-                    Self::record_stage(env, &*t, stage_before, now);
-                    t.stage_start = now;
-                }
-            }
-        }
-    }
-
-    /// Emit a Stage span for one stream sub-operation (the open
-    /// handshake, a parked feed, the commit drain, a pull) with an
-    /// explicit start time. Synchronous completions (start == end) carry
-    /// no latency information and are skipped.
-    fn record_stream_span(
-        env: &mut dyn Env,
-        t: &OpTrace,
-        label: &'static str,
-        start: SimTime,
-        end: SimTime,
-    ) {
-        if start == end {
-            return;
-        }
-        let Some(sink) = env.span_sink() else { return };
-        sink.record(SpanRecord {
-            trace: t.ctx.trace_id,
-            span: sink.next_id(),
-            parent: t.ctx.span_id,
-            service: "client",
-            op: label,
-            node: env.id().0 as u64,
-            start_ns: start.as_nanos(),
-            end_ns: end.as_nanos(),
-            kind: SpanKind::Stage,
-            class: SpanClass::Control,
-            queue_ns: 0,
-            xfer_ns: 0,
-            wire_ns: 0,
-        });
-    }
-
-    /// Queue one full-page payload for the next page slot, one send per
-    /// replica. Each cut page is counted once in `unacked_bytes` until
-    /// its last replica acks.
-    fn wstream_enqueue(w: &mut WriteStreamSess, payload: Payload) {
-        let desc = w.chunks[w.next_page as usize].clone();
-        if !desc.replicas.is_empty() {
-            w.page_acks.insert(desc.key.page, desc.replicas.len() as u32);
-            w.unacked_bytes += desc.size;
-            for replica in &desc.replicas {
-                w.queued.push_back((*replica, desc.key, payload.clone()));
-            }
-        }
-        w.next_page += 1;
-    }
-
-    /// Cut full pages off the stream's accumulator into per-replica
-    /// queued sends.
-    fn wstream_cut(w: &mut WriteStreamSess) {
-        let page = w.page_size();
-        if page == 0 {
-            return;
-        }
-        while (w.acc.len() as u64 >= page || w.acc_sim >= page)
-            && (w.next_page as usize) < w.chunks.len()
-        {
-            let payload = if w.acc.len() as u64 >= page {
-                Payload::Data(w.acc.split_to(page as usize).freeze())
-            } else {
-                w.acc_sim -= page;
-                Payload::Sim(page)
-            };
-            Self::wstream_enqueue(w, payload);
-        }
-    }
-
-    /// Issue queued chunk sends while the in-flight window has room. One
-    /// issue takes every queued item headed for the same provider — the
-    /// same per-provider batching as the whole-buffer write path.
-    fn wstream_pump(
-        client: ClientId,
-        cfg: ClientConfig,
-        fresh: &mut dyn FnMut(&mut HashSet<u64>, ReqRole) -> u64,
-        outstanding: &mut HashSet<u64>,
-        w: &mut WriteStreamSess,
-        env: &mut dyn Env,
-    ) {
-        let window = if cfg.chunk_window == 0 { usize::MAX } else { cfg.chunk_window };
-        while outstanding.len() < window && !w.queued.is_empty() {
-            let target = w.queued.front().expect("non-empty").0;
-            let mut items: Vec<(ChunkKey, Payload)> = Vec::new();
-            let mut rest = std::collections::VecDeque::new();
-            for (t, key, data) in w.queued.drain(..) {
-                if t == target {
-                    items.push((key, data));
-                } else {
-                    rest.push_back((t, key, data));
-                }
-            }
-            w.queued = rest;
-            Self::issue_chunk_put(client, cfg.retry, fresh, outstanding, target, items, env);
-        }
-    }
-
-    /// The metadata/commit tail of a draining write stream: build (or
-    /// keep resolving) the tree, then store nodes — the same steps as
-    /// [`write_meta_step`](Self::write_meta_step), on stream state.
-    fn wstream_meta_step(
-        meta_providers: &[NodeId],
-        meta_cache: &mut MetaCache,
-        fresh: &mut dyn FnMut(&mut HashSet<u64>, ReqRole) -> u64,
-        outstanding: &mut HashSet<u64>,
-        w: &mut WriteStreamSess,
-        env: &mut dyn Env,
-    ) -> StreamStep {
-        if w.builder.is_none() {
-            let ticket = w.ticket.clone().expect("ticket set");
-            w.builder = Some(TreeBuilder::new(
-                w.blob,
-                ticket.version,
-                ticket.interval(),
-                ticket.page_size,
-                ticket.new_size,
-                ticket.base,
-                ticket.pending.clone(),
-            ));
-        }
-        let builder = w.builder.as_mut().expect("builder set");
-        while !builder.is_ready() {
-            let fetches = builder.needed_fetches();
-            debug_assert!(!fetches.is_empty());
-            let mut missing: Vec<NodeKey> = Vec::new();
-            let mut hits = 0usize;
-            for k in &fetches {
-                match meta_cache.get(k) {
-                    Some(n) => {
-                        builder.supply(*k, n);
-                        hits += 1;
-                    }
-                    None => missing.push(*k),
-                }
-            }
-            if hits == 0 {
-                for (target, keys) in group_by_partition(&missing, meta_providers) {
-                    let req = fresh(outstanding, ReqRole::MetaGet);
-                    env.send(target, Msg::GetMeta { req, keys });
-                }
-                w.phase = WStreamPhase::MetaResolve;
-                return StreamStep::Park;
-            }
-        }
-        let (nodes, root) = builder.build(&w.chunks);
-        w.root = Some(root);
-        let mut per_provider: HashMap<NodeId, Vec<(NodeKey, MetaNode)>> = HashMap::new();
-        for (k, n) in nodes {
-            meta_cache.insert(k, n.clone());
-            let target = meta_providers[partition(&k, meta_providers.len())];
-            per_provider.entry(target).or_default().push((k, n));
-        }
-        let mut targets: Vec<NodeId> = per_provider.keys().copied().collect();
-        targets.sort();
-        for target in targets {
-            let nodes = per_provider.remove(&target).expect("present");
-            let req = fresh(outstanding, ReqRole::Plain);
-            env.send(target, Msg::PutMeta { req, nodes });
-        }
-        w.phase = WStreamPhase::MetaPut;
-        StreamStep::Park
-    }
-
-    /// One write-stream protocol step. Static to sidestep split borrows.
-    #[allow(clippy::too_many_arguments)]
-    fn wstream_step(
-        client: ClientId,
-        vman: NodeId,
-        pman: NodeId,
-        meta_providers: &[NodeId],
-        cfg: ClientConfig,
-        meta_cache: &mut MetaCache,
-        next_req: &mut u64,
-        req_index: &mut HashMap<u64, (u64, ReqRole)>,
-        sid: u64,
-        sess: &mut Session,
-        role: ReqRole,
-        msg: Msg,
-        env: &mut dyn Env,
-    ) -> StreamStep {
-        let mut fresh = |outstanding: &mut HashSet<u64>, role: ReqRole| {
-            let req = *next_req;
-            *next_req += 1;
-            req_index.insert(req, (sid, role));
-            outstanding.insert(req);
-            req
-        };
-        let SessKind::WriteStream(w) = &mut sess.kind else {
-            unreachable!("write-stream session")
-        };
-        w.last_activity = env.now();
+        let client = self.id;
         match (w.phase, msg) {
-            (WStreamPhase::Ticket, Msg::TicketOk { ticket, .. }) => {
-                let pages = ticket.interval().len;
-                let req = fresh(&mut sess.outstanding, ReqRole::Plain);
-                env.send(
-                    pman,
-                    Msg::Alloc {
-                        req,
-                        client,
-                        chunks: pages as u32,
-                        replication: ticket.replication,
-                        chunk_size: ticket.page_size,
-                    },
-                );
+            (WritePhase::Ticket, Msg::TicketOk { ticket, .. }) => {
+                let req = self.fresh(out, ReqRole::Plain);
+                let alloc = Msg::Alloc {
+                    req,
+                    client,
+                    chunks: ticket.interval().len as u32,
+                    replication: ticket.replication,
+                    chunk_size: ticket.page_size,
+                };
+                env.send(self.pman, alloc);
                 w.ticket = Some(ticket);
-                w.phase = WStreamPhase::Alloc;
-                StreamStep::Park
+                w.phase = WritePhase::Alloc;
+                Step::Park
             }
-            (WStreamPhase::Ticket, Msg::TicketErr { err, .. }) => StreamStep::Finish(Err(err), 0),
+            (WritePhase::Ticket | WritePhase::Commit, Msg::TicketErr { err, .. }) => {
+                Step::Finish(Err(err), 0)
+            }
 
-            (WStreamPhase::Alloc, Msg::AllocOk { placement, .. }) => {
-                let ticket = w.ticket.as_ref().expect("ticket set");
+            (WritePhase::Alloc, Msg::AllocOk { placement, .. }) => {
+                let ticket = w.ticket.clone().expect("ticket set");
                 let interval = ticket.interval();
                 debug_assert_eq!(placement.len() as u64, interval.len);
-                let page = ticket.page_size;
+                let blob = w.blob;
                 w.chunks = placement
-                    .iter()
-                    .enumerate()
-                    .map(|(i, replicas)| ChunkDescriptor {
-                        key: ChunkKey {
-                            blob: w.blob,
-                            version: ticket.version,
-                            page: interval.start + i as u64,
-                        },
-                        replicas: replicas.clone(),
-                        size: page,
+                    .into_iter()
+                    .zip(interval.start..)
+                    .map(|(replicas, page)| ChunkDescriptor {
+                        key: ChunkKey { blob, version: ticket.version, page },
+                        replicas,
+                        size: ticket.page_size,
                     })
                     .collect();
-                w.phase = WStreamPhase::Streaming;
-                StreamStep::Complete(
-                    Ok(OpOutput::WriteStreamOpened {
-                        stream: sid,
+                w.page_acks = vec![0; w.chunks.len()];
+                w.phase = WritePhase::Streaming;
+                let Some(data) = w.data.take() else {
+                    let opened = OpOutput::WriteStreamOpened {
+                        stream: out.sid,
                         version: ticket.version,
                         offset: ticket.offset,
                         len: ticket.len,
-                        page_size: page,
-                    }),
-                    0,
-                )
+                        page_size: ticket.page_size,
+                    };
+                    return Step::Complete(Ok(opened), 0);
+                };
+                // A whole-buffer write feeds everything and commits now.
+                if let Err(why) = self.absorb(out, w, data, env) {
+                    return fail(waiter, BlobError::Protocol(why));
+                }
+                self.drain(out, w, env)
             }
-            (WStreamPhase::Alloc, Msg::AllocErr { available, .. }) => {
-                let requested =
-                    w.ticket.as_ref().map(|t| t.interval().len as u32).unwrap_or(0);
-                StreamStep::Finish(Err(BlobError::AllocationFailed { requested, available }), 0)
+            (WritePhase::Alloc, Msg::AllocErr { available, .. }) => {
+                let requested = w.ticket.as_ref().map_or(0, |t| t.interval().len as u32);
+                Step::Finish(Err(BlobError::AllocationFailed { requested, available }), 0)
             }
 
-            (WStreamPhase::Streaming | WStreamPhase::Draining, Msg::PutChunkOk { .. }) => {
+            (WritePhase::Streaming | WritePhase::Draining, Msg::PutChunkOk { .. }) => {
                 if let ReqRole::ChunkPut { items, .. } = role {
+                    let first = w.chunks.first().map_or(0, |d| d.key.page);
                     for (key, data) in &items {
-                        if let Some(n) = w.page_acks.get_mut(&key.page) {
-                            *n -= 1;
-                            if *n == 0 {
-                                w.page_acks.remove(&key.page);
+                        let owed = &mut w.page_acks[(key.page - first) as usize];
+                        if *owed > 0 {
+                            *owed -= 1;
+                            if *owed == 0 {
                                 w.unacked_bytes = w.unacked_bytes.saturating_sub(data.len());
                             }
                         }
                     }
                 }
-                Self::wstream_pump(client, cfg, &mut fresh, &mut sess.outstanding, w, env);
-                if w.phase == WStreamPhase::Draining && sess.outstanding.is_empty() {
-                    return Self::wstream_meta_step(
-                        meta_providers,
-                        meta_cache,
-                        &mut fresh,
-                        &mut sess.outstanding,
-                        w,
-                        env,
-                    );
+                // The ack hands its slot to the next provider's batch —
+                // even above the window, after a re-allocation burst —
+                // and the window is topped up.
+                if !w.queued.is_empty() {
+                    self.issue_next_put(out, w, env);
                 }
-                if let Some(waiter) = &w.waiter {
-                    if waiter.kind == WaiterKind::Feed && w.feed_ready(cfg.chunk_window) {
-                        let bytes = waiter.bytes;
-                        return StreamStep::Complete(Ok(OpOutput::Fed { stream: sid }), bytes);
+                self.pump(out, w, env);
+                if w.phase == WritePhase::Draining && out.is_empty() {
+                    return self.build_step(out, w, env);
+                }
+                match waiter {
+                    Some(wt)
+                        if wt.kind == WaiterKind::Feed && w.feed_ready(self.cfg.chunk_window) =>
+                    {
+                        Step::Complete(Ok(OpOutput::Fed { stream: out.sid }), wt.bytes)
                     }
+                    _ => Step::Park,
                 }
-                StreamStep::Park
             }
-            (WStreamPhase::Streaming | WStreamPhase::Draining, Msg::PutChunkErr { err, .. }) => {
+            (WritePhase::Streaming | WritePhase::Draining, Msg::PutChunkErr { err, .. }) => {
                 if err == ChunkErr::Blocked {
-                    return wfail(w, BlobError::Blocked(client));
+                    return fail(waiter, BlobError::Blocked(client));
                 }
+                let retry = self.cfg.retry;
                 let ReqRole::ChunkPut { target, items, attempts } = role else {
-                    return wfail(w, chunk_err(err, client));
+                    return fail(waiter, chunk_err(err, client));
                 };
-                if !cfg.retry.enabled() {
-                    return wfail(w, chunk_err(err, client));
+                if !retry.enabled() {
+                    return fail(waiter, chunk_err(err, client));
                 }
-                if err != ChunkErr::Full && attempts < cfg.retry.max_attempts {
+                if err != ChunkErr::Full && attempts < retry.max_attempts {
+                    // Same-target retry: register the resend under a
+                    // fresh request id; the backoff timer sends it.
                     env.incr("client.rpc_retries", 1);
-                    let delay = cfg.retry.backoff(attempts);
-                    let req = fresh(
-                        &mut sess.outstanding,
-                        ReqRole::ChunkPut { target, items, attempts: attempts + 1 },
+                    let role = ReqRole::ChunkPut { target, items, attempts: attempts + 1 };
+                    let req = self.fresh(out, role);
+                    env.set_timer(
+                        retry.backoff(attempts),
+                        CLIENT_TIMER_BIT | RETRY_TIMER_BIT | req,
                     );
-                    env.set_timer(delay, CLIENT_TIMER_BIT | RETRY_TIMER_BIT | req);
-                    return StreamStep::Park;
+                    return Step::Park;
                 }
-                if w.reallocs < cfg.retry.max_reallocs {
+                // Target exhausted (dead) or full: ask the provider
+                // manager for a replacement placement for these chunks.
+                if w.reallocs < retry.max_reallocs {
                     w.reallocs += 1;
                     env.incr("client.reallocs", 1);
-                    let page = w.page_size();
                     let chunks = items.len() as u32;
-                    let req = fresh(
-                        &mut sess.outstanding,
-                        ReqRole::ReAlloc { failed: target, items },
-                    );
+                    let req = self.fresh(out, ReqRole::ReAlloc { failed: target, items });
+                    let chunk_size = w.page_size();
                     env.send(
-                        pman,
-                        Msg::Alloc { req, client, chunks, replication: 1, chunk_size: page },
+                        self.pman,
+                        Msg::Alloc { req, client, chunks, replication: 1, chunk_size },
                     );
-                    return StreamStep::Park;
+                    return Step::Park;
                 }
                 match items.first() {
-                    Some((key, _)) => wfail(w, BlobError::ChunkUnavailable(*key)),
-                    None => wfail(w, chunk_err(err, client)),
+                    Some((key, _)) => fail(waiter, BlobError::ChunkUnavailable(*key)),
+                    None => fail(waiter, chunk_err(err, client)),
                 }
             }
-            (WStreamPhase::Streaming | WStreamPhase::Draining, Msg::AllocOk { placement, .. }) => {
-                // Replacement placements for chunk stores whose target
-                // died: patch the descriptor table, re-send each chunk.
+            (WritePhase::Streaming | WritePhase::Draining, Msg::AllocOk { placement, .. }) => {
+                // A replacement placement arrived for chunk stores whose
+                // target died: patch the descriptor table so the metadata
+                // tree records the replacement replica, then re-send each
+                // chunk to its new home.
                 let ReqRole::ReAlloc { failed, items } = role else {
-                    return wfail(w, BlobError::Protocol("unexpected write-stream reply"));
+                    return fail(waiter, BlobError::Protocol("unexpected write reply"));
                 };
                 debug_assert_eq!(placement.len(), items.len());
                 let mut jobs: Vec<(NodeId, Vec<(ChunkKey, Payload)>)> = Vec::new();
                 for ((key, data), replicas) in items.into_iter().zip(placement) {
                     let Some(&new_target) = replicas.first() else {
-                        return wfail(w, BlobError::ChunkUnavailable(key));
+                        return fail(waiter, BlobError::ChunkUnavailable(key));
                     };
                     if let Some(desc) = w.chunks.iter_mut().find(|d| d.key == key) {
                         for r in &mut desc.replicas {
@@ -3153,578 +1621,784 @@ impl ClientCore {
                     }
                 }
                 for (target, batch) in jobs {
-                    Self::issue_chunk_put(
-                        client,
-                        cfg.retry,
-                        &mut fresh,
-                        &mut sess.outstanding,
-                        target,
-                        batch,
-                        env,
-                    );
+                    self.issue_chunk_put(out, target, batch, env);
                 }
-                StreamStep::Park
+                Step::Park
             }
-            (WStreamPhase::Streaming | WStreamPhase::Draining, Msg::AllocErr { available, .. }) => {
+            (WritePhase::Streaming | WritePhase::Draining, Msg::AllocErr { available, .. }) => {
+                // No replacement capacity anywhere: total unavailability.
                 if let ReqRole::ReAlloc { items, .. } = role {
                     if let Some((key, _)) = items.first() {
-                        return wfail(w, BlobError::ChunkUnavailable(*key));
+                        return fail(waiter, BlobError::ChunkUnavailable(*key));
                     }
                 }
-                wfail(w, BlobError::AllocationFailed { requested: 0, available })
+                fail(waiter, BlobError::AllocationFailed { requested: 0, available })
             }
 
-            (WStreamPhase::MetaResolve, Msg::GetMetaOk { nodes, .. }) => {
+            (WritePhase::MetaResolve, Msg::GetMetaOk { nodes, .. }) => {
                 let builder = w.builder.as_mut().expect("builder set");
-                for (k, n) in nodes {
-                    match n {
-                        Some(node) => {
-                            builder.supply(k, &node);
-                            meta_cache.insert(k, node);
-                        }
-                        None => return StreamStep::Finish(Err(BlobError::MetaUnavailable), 0),
-                    }
+                if let Err(err) = supply_nodes(&mut self.meta_cache, builder, nodes) {
+                    return Step::Finish(Err(err), 0);
                 }
-                if !sess.outstanding.is_empty() {
-                    return StreamStep::Park;
+                if !out.is_empty() {
+                    return Step::Park;
                 }
-                Self::wstream_meta_step(
-                    meta_providers,
-                    meta_cache,
-                    &mut fresh,
-                    &mut sess.outstanding,
-                    w,
-                    env,
-                )
+                self.build_step(out, w, env)
             }
-            (WStreamPhase::MetaPut, Msg::PutMetaOk { .. }) => {
-                if !sess.outstanding.is_empty() {
-                    return StreamStep::Park;
+            (WritePhase::MetaPut, Msg::PutMetaOk { .. }) => {
+                if !out.is_empty() {
+                    return Step::Park;
                 }
                 let ticket = w.ticket.as_ref().expect("ticket set");
-                let req = fresh(&mut sess.outstanding, ReqRole::Plain);
-                env.send(
-                    vman,
-                    Msg::Commit {
-                        req,
-                        client,
-                        blob: w.blob,
-                        version: ticket.version,
-                        root: w.root.expect("root set in meta phase"),
-                        size: ticket.new_size,
-                    },
-                );
-                w.phase = WStreamPhase::Commit;
-                StreamStep::Park
+                let req = self.fresh(out, ReqRole::Plain);
+                let commit = Msg::Commit {
+                    req,
+                    client,
+                    blob: w.blob,
+                    version: ticket.version,
+                    root: w.root.expect("root set in meta phase"),
+                    size: ticket.new_size,
+                };
+                env.send(self.vman, commit);
+                w.phase = WritePhase::Commit;
+                Step::Park
             }
-            (WStreamPhase::Commit, Msg::CommitOk { version, .. }) => {
+            (WritePhase::Commit, Msg::CommitOk { version, .. }) => {
                 let ticket = w.ticket.as_ref().expect("ticket set");
-                StreamStep::Finish(
-                    Ok(OpOutput::Written {
-                        blob: w.blob,
-                        version,
-                        offset: ticket.offset,
-                        len: ticket.len,
-                    }),
-                    ticket.len,
-                )
+                let (offset, len) = (ticket.offset, ticket.len);
+                Step::Finish(Ok(OpOutput::Written { blob: w.blob, version, offset, len }), len)
             }
-            (WStreamPhase::Commit, Msg::TicketErr { err, .. }) => StreamStep::Finish(Err(err), 0),
 
-            (_, _) => wfail(w, BlobError::Protocol("unexpected write-stream reply")),
+            (_, _) => fail(waiter, BlobError::Protocol("unexpected write reply")),
         }
     }
 
-    /// The open-time metadata descent of a read stream: resolve the whole
-    /// chunk plan (an O(#pages) descriptor table, no data), then open.
-    #[allow(clippy::too_many_arguments)]
-    fn rstream_meta_step(
-        cfg: ClientConfig,
-        meta_providers: &[NodeId],
-        meta_cache: &mut MetaCache,
-        fresh: &mut dyn FnMut(&mut HashSet<u64>, ReqRole) -> u64,
-        outstanding: &mut HashSet<u64>,
-        sid: u64,
-        r: &mut ReadStreamSess,
+    /// Take fed bytes into a write session: cut full pages off them and
+    /// ship what the window admits. Checked before anything is taken: the
+    /// declared length and one payload flavor per stream.
+    fn absorb(
+        &mut self,
+        out: &mut Outstanding,
+        w: &mut WriteSess,
+        data: Payload,
         env: &mut dyn Env,
-    ) -> StreamStep {
-        let reader = r.reader.as_mut().expect("reader set");
-        while !reader.is_done() {
-            let fetches = reader.needed_fetches();
-            debug_assert!(!fetches.is_empty());
-            let mut missing: Vec<NodeKey> = Vec::new();
-            let mut hits = 0usize;
-            for k in &fetches {
-                match meta_cache.get(k) {
-                    Some(n) => {
-                        reader.supply(*k, n);
-                        hits += 1;
-                    }
-                    None => missing.push(*k),
-                }
-            }
-            if hits == 0 {
-                if cfg.meta_range_fetch && !r.range_used {
-                    r.range_used = true;
-                    let (version, query) = r.range_query();
-                    for target in meta_providers {
-                        let req = fresh(outstanding, ReqRole::MetaRange { target: *target });
-                        env.send(
-                            *target,
-                            Msg::GetMetaRange {
-                                req,
-                                blob: r.blob,
-                                version,
-                                query,
-                                after: None,
-                                max_nodes: cfg.meta_range_max_nodes,
-                            },
-                        );
-                    }
-                } else {
-                    for (target, keys) in group_by_partition(&missing, meta_providers) {
-                        let req = fresh(outstanding, ReqRole::MetaGet);
-                        env.send(target, Msg::GetMeta { req, keys });
-                    }
-                }
-                r.phase = RStreamPhase::Meta;
-                return StreamStep::Park;
-            }
+    ) -> Result<(), &'static str> {
+        if w.fed + data.len() > w.declared() {
+            return Err("feed exceeds the declared stream length");
         }
-        let reader = r.reader.take().expect("reader set");
-        r.sources = reader.into_sources();
-        r.phase = RStreamPhase::Idle;
-        let info = r.info.as_ref().expect("info set");
-        StreamStep::Complete(
-            Ok(OpOutput::ReadStreamOpened {
-                stream: sid,
-                version: info.version,
-                len: r.len,
-                page_size: info.page_size,
-            }),
-            0,
-        )
+        let real = matches!(data, Payload::Data(_));
+        if w.data_mode.is_some_and(|m| m != real) {
+            return Err("mixed real and simulated payloads in one stream");
+        }
+        w.data_mode = Some(real);
+        w.fed += data.len();
+        match data {
+            Payload::Data(b) => {
+                // Zero-copy fast path: with an empty accumulator, whole
+                // pages are cut straight off the fed buffer as refcounted
+                // sub-slices; only a sub-page tail goes through `acc`.
+                let page = w.page_size() as usize;
+                let mut at = 0usize;
+                if page > 0 && w.acc.is_empty() {
+                    while b.len() - at >= page && (w.next_page as usize) < w.chunks.len() {
+                        Self::enqueue(w, Payload::Data(b.slice(at..at + page)));
+                        at += page;
+                    }
+                }
+                w.acc.extend_from_slice(&b[at..]);
+            }
+            Payload::Sim(n) => w.acc_sim += n,
+        }
+        Self::cut(w);
+        self.pump(out, w, env);
+        Ok(())
     }
 
-    /// Splice the current batch into one delivered chunk. Returns the
-    /// output, the delivered byte count, and whether this was the final
-    /// batch of the stream.
-    fn rstream_assemble(
-        sid: u64,
-        r: &mut ReadStreamSess,
-        materialize_zeros: bool,
-    ) -> (Result<OpOutput, BlobError>, u64, bool) {
-        let page = r.info.as_ref().expect("info set").page_size;
-        let base = (r.page0 + r.batch_base as u64) * page;
-        let lo = r.offset.max(base);
-        let hi = (r.offset + r.len).min(base + r.parts.len() as u64 * page);
-        let skip = lo - base;
-        let total = hi.saturating_sub(lo);
-        let eof = r.batch_base + r.parts.len() >= r.sources.len();
-        let parts = std::mem::take(&mut r.parts);
-        r.phase = RStreamPhase::Idle;
-        // Zero-copy fast path: one real-data page serves the delivered
-        // range as a refcounted sub-slice.
-        if parts.len() == 1 {
-            if let Some(Payload::Data(b)) = &parts[0] {
-                if (skip + total) as usize <= b.len() {
-                    let data = Payload::Data(b.slice(skip as usize..(skip + total) as usize));
-                    return (Ok(OpOutput::ReadChunk { stream: sid, data, eof }), total, eof);
+    /// Queue one page payload for the next page slot, one send per
+    /// replica. Each cut page is counted once in `unacked_bytes` until
+    /// its last replica acks.
+    fn enqueue(w: &mut WriteSess, payload: Payload) {
+        let desc = &w.chunks[w.next_page as usize];
+        if !desc.replicas.is_empty() {
+            w.page_acks[w.next_page as usize] = desc.replicas.len() as u32;
+            w.unacked_bytes += payload.len();
+            for replica in &desc.replicas {
+                let item = (desc.key, payload.clone());
+                match w.queued.iter_mut().find(|(t, _)| t == replica) {
+                    Some((_, items)) => items.push(item),
+                    None => w.queued.push_back((*replica, vec![item])),
                 }
             }
         }
-        let any_real = parts.iter().flatten().any(|p| matches!(p, Payload::Data(_)));
-        let data = if any_real || materialize_zeros {
-            let mut buf = BytesMut::with_capacity(total as usize);
-            let mut remaining = total;
-            let mut offset_in_part = skip;
-            for part in parts.iter().flatten() {
-                if remaining == 0 {
-                    break;
-                }
-                let avail = page - offset_in_part;
-                let take = avail.min(remaining);
-                match part {
-                    Payload::Data(b) => {
-                        let s = offset_in_part as usize;
-                        let e = ((offset_in_part + take) as usize).min(b.len());
-                        if s < b.len() {
-                            buf.extend_from_slice(&b[s..e]);
-                        }
-                        let got = e.saturating_sub(s) as u64;
-                        if got < take {
-                            buf.extend(std::iter::repeat_n(0u8, (take - got) as usize));
-                        }
-                    }
-                    Payload::Sim(_) => {
-                        buf.extend(std::iter::repeat_n(0u8, take as usize));
-                    }
-                }
-                remaining -= take;
-                offset_in_part = 0;
+        w.next_page += 1;
+    }
+
+    /// Cut full pages off the accumulator into per-replica queued sends.
+    /// (Declared lengths are page multiples: the version manager refuses
+    /// misaligned tickets, so no short last page exists.)
+    fn cut(w: &mut WriteSess) {
+        let page = w.page_size();
+        if page == 0 {
+            return;
+        }
+        while (w.next_page as usize) < w.chunks.len() {
+            let payload = if w.acc.len() as u64 >= page {
+                Payload::Data(w.acc.split_to(page as usize).freeze())
+            } else if w.acc_sim >= page {
+                w.acc_sim -= page;
+                Payload::Sim(page)
+            } else {
+                break;
+            };
+            Self::enqueue(w, payload);
+        }
+    }
+
+    /// Issue queued page stores while the in-flight window has room.
+    fn pump(&mut self, out: &mut Outstanding, w: &mut WriteSess, env: &mut dyn Env) {
+        while out.len() < self.window() && !w.queued.is_empty() {
+            self.issue_next_put(out, w, env);
+        }
+    }
+
+    /// Issue the batch at the front of the queue: providers are served
+    /// in first-seen order, and a provider holding several pages gets one
+    /// round trip.
+    fn issue_next_put(&mut self, out: &mut Outstanding, w: &mut WriteSess, env: &mut dyn Env) {
+        let (target, items) = w.queued.pop_front().expect("non-empty");
+        self.issue_chunk_put(out, target, items, env);
+    }
+
+    /// Every byte is in: wait for the in-flight stores, or go straight to
+    /// the metadata phase when none is left.
+    fn drain(&mut self, out: &mut Outstanding, w: &mut WriteSess, env: &mut dyn Env) -> Step {
+        w.phase = WritePhase::Draining;
+        if !out.is_empty() {
+            return Step::Park;
+        }
+        debug_assert!(w.queued.is_empty(), "queued chunks with an empty in-flight window");
+        self.build_step(out, w, env)
+    }
+
+    /// The metadata step of a write: resolve the untouched base-tree
+    /// subtrees (cache first, then remote fetches), then build the new
+    /// nodes and store them.
+    fn build_step(&mut self, out: &mut Outstanding, w: &mut WriteSess, env: &mut dyn Env) -> Step {
+        if w.builder.is_none() {
+            let t = w.ticket.as_ref().expect("ticket set");
+            let (interval, pending) = (t.interval(), t.pending.clone());
+            w.builder = Some(TreeBuilder::new(
+                w.blob,
+                t.version,
+                interval,
+                t.page_size,
+                t.new_size,
+                t.base,
+                pending,
+            ));
+        }
+        let builder = w.builder.as_mut().expect("builder set");
+        if let Some(missing) = descend_cached(&self.meta_cache, builder) {
+            for (target, keys) in group_by_partition(&missing, &self.meta_providers) {
+                let req = self.fresh(out, ReqRole::MetaGet);
+                env.send(target, Msg::GetMeta { req, keys });
             }
-            Payload::Data(buf.freeze())
+            w.phase = WritePhase::MetaResolve;
+            return Step::Park;
+        }
+        let (nodes, root) = builder.build(&w.chunks);
+        w.root = Some(root);
+        let mut per_provider: HashMap<NodeId, Vec<(NodeKey, MetaNode)>> = HashMap::new();
+        for (k, n) in nodes {
+            // The writer will likely read (or extend) this version soon:
+            // warm the cache with the nodes just built.
+            self.meta_cache.insert(k, n.clone());
+            let target = self.meta_providers[partition(&k, self.meta_providers.len())];
+            per_provider.entry(target).or_default().push((k, n));
+        }
+        let mut targets: Vec<NodeId> = per_provider.keys().copied().collect();
+        targets.sort();
+        for target in targets {
+            let nodes = per_provider.remove(&target).expect("present");
+            let req = self.fresh(out, ReqRole::Plain);
+            env.send(target, Msg::PutMeta { req, nodes });
+        }
+        w.phase = WritePhase::MetaPut;
+        Step::Park
+    }
+
+    /// Send one provider's chunk stores: a lone chunk as a plain
+    /// `PutChunk`, several as one `PutChunkBatch` round trip. The items
+    /// are kept in the request's role so an enabled [`RetryPolicy`] can
+    /// re-send them (payloads are refcounted views — no data is copied);
+    /// the policy also arms the per-RPC deadline here.
+    fn issue_chunk_put(
+        &mut self,
+        out: &mut Outstanding,
+        target: NodeId,
+        items: Vec<(ChunkKey, Payload)>,
+        env: &mut dyn Env,
+    ) {
+        let role = ReqRole::ChunkPut { target, items: items.clone(), attempts: 1 };
+        let req = self.fresh(out, role);
+        let client = self.id;
+        if items.len() == 1 {
+            let (key, data) = items.into_iter().next().expect("one item");
+            env.send(target, Msg::PutChunk { req, client, key, data });
         } else {
-            Payload::Sim(total)
-        };
-        (Ok(OpOutput::ReadChunk { stream: sid, data, eof }), total, eof)
+            env.send(target, Msg::PutChunkBatch { req, client, items });
+        }
+        if self.cfg.retry.enabled() {
+            env.set_timer(self.cfg.retry.put_timeout, CLIENT_TIMER_BIT | CHUNK_TIMEOUT_BIT | req);
+        }
     }
+}
 
-    /// One read-stream protocol step. Static to sidestep split borrows.
-    #[allow(clippy::too_many_arguments)]
-    fn rstream_step(
-        client: ClientId,
-        meta_providers: &[NodeId],
-        cfg: ClientConfig,
-        meta_cache: &mut MetaCache,
-        next_req: &mut u64,
-        req_index: &mut HashMap<u64, (u64, ReqRole)>,
-        sid: u64,
+impl Conn {
+    // ---- the read machine --------------------------------------------
+
+    /// One read protocol step, for either kind of caller.
+    fn read_step(
+        &mut self,
         sess: &mut Session,
         role: ReqRole,
         msg: Msg,
         env: &mut dyn Env,
-    ) -> StreamStep {
-        let mut fresh = |outstanding: &mut HashSet<u64>, role: ReqRole| {
-            let req = *next_req;
-            *next_req += 1;
-            req_index.insert(req, (sid, role));
-            outstanding.insert(req);
-            req
+    ) -> Step {
+        let Session { kind: SessKind::Read(r), out, waiter, stream, .. } = sess else {
+            unreachable!("read session")
         };
-        let SessKind::ReadStream(r) = &mut sess.kind else {
-            unreachable!("read-stream session")
-        };
-        r.last_activity = env.now();
+        let stream = *stream;
+        let client = self.id;
         match (r.phase, msg, role) {
-            (RStreamPhase::Version, Msg::GetVersionOk { info, .. }, _) => {
+            (ReadPhase::Version, Msg::GetVersionOk { info, .. }, _) => {
                 if r.len == 0 {
-                    let (version, page_size) = (info.version, info.page_size);
+                    // Nothing to fetch: an empty plan, at any offset.
                     r.info = Some(info);
-                    r.phase = RStreamPhase::Idle;
-                    return StreamStep::Complete(
-                        Ok(OpOutput::ReadStreamOpened { stream: sid, version, len: 0, page_size }),
-                        0,
-                    );
+                    return self.opened(out, stream, r, env);
                 }
                 if r.offset >= info.size {
-                    return StreamStep::Finish(
-                        Err(BlobError::OutOfBounds {
-                            offset: r.offset,
-                            len: r.len,
-                            size: info.size,
-                        }),
-                        0,
-                    );
+                    let (offset, len, size) = (r.offset, r.len, info.size);
+                    return Step::Finish(Err(BlobError::OutOfBounds { offset, len, size }), 0);
                 }
-                let eff_len = r.len.min(info.size - r.offset);
-                r.len = eff_len;
-                let page = info.page_size;
-                r.page0 = r.offset / page;
-                let last = (r.offset + eff_len - 1) / page;
-                let interval = PageInterval::new(r.page0, last - r.page0 + 1);
-                let reader = TreeReader::new(r.blob, info.root, interval);
+                r.len = r.len.min(info.size - r.offset);
+                r.page0 = r.offset / info.page_size;
+                let root = info.root;
                 r.info = Some(info);
-                r.reader = Some(reader);
-                Self::rstream_meta_step(
-                    cfg,
-                    meta_providers,
-                    meta_cache,
-                    &mut fresh,
-                    &mut sess.outstanding,
-                    sid,
-                    r,
-                    env,
-                )
+                let (_, interval) = r.range_query();
+                r.reader = Some(TreeReader::new(r.blob, root, interval));
+                self.descend(out, stream, r, env)
             }
-            (RStreamPhase::Version, Msg::GetVersionErr { err, .. }, _) => {
-                StreamStep::Finish(Err(err), 0)
-            }
+            (ReadPhase::Version, Msg::GetVersionErr { err, .. }, _) => Step::Finish(Err(err), 0),
 
-            (RStreamPhase::Meta, Msg::GetMetaOk { nodes, .. }, ReqRole::MetaGet) => {
+            (ReadPhase::Meta, Msg::GetMetaOk { nodes, .. }, _) => {
                 let reader = r.reader.as_mut().expect("reader set");
-                for (k, n) in nodes {
-                    match n {
-                        Some(node) => {
-                            reader.supply(k, &node);
-                            meta_cache.insert(k, node);
-                        }
-                        None => return StreamStep::Finish(Err(BlobError::MetaUnavailable), 0),
-                    }
+                if let Err(err) = supply_nodes(&mut self.meta_cache, reader, nodes) {
+                    return Step::Finish(Err(err), 0);
                 }
-                if !sess.outstanding.is_empty() {
-                    return StreamStep::Park;
+                if !out.is_empty() {
+                    return Step::Park;
                 }
-                Self::rstream_meta_step(
-                    cfg,
-                    meta_providers,
-                    meta_cache,
-                    &mut fresh,
-                    &mut sess.outstanding,
-                    sid,
-                    r,
-                    env,
-                )
+                self.descend(out, stream, r, env)
             }
             (
-                RStreamPhase::Meta,
+                ReadPhase::Meta,
                 Msg::GetMetaRangeOk { nodes, more, .. },
                 ReqRole::MetaRange { target },
             ) => {
+                // Bulk reply from one provider's slice of the read path:
+                // every node only warms the cache. Correctness never
+                // depends on what the provider chose to send — the descent
+                // re-runs cache-first and anything the bulk replies missed
+                // falls back to per-node fetches.
                 let mut last = None;
                 for (k, n) in nodes {
                     last = Some(k.range);
-                    meta_cache.insert(k, n);
+                    self.meta_cache.insert(k, n);
                 }
-                if more {
-                    if let Some(after) = last {
-                        let (version, query) = r.range_query();
-                        let req = fresh(&mut sess.outstanding, ReqRole::MetaRange { target });
-                        env.send(
-                            target,
-                            Msg::GetMetaRange {
-                                req,
-                                blob: r.blob,
-                                version,
-                                query,
-                                after: Some(after),
-                                max_nodes: cfg.meta_range_max_nodes,
-                            },
-                        );
-                        return StreamStep::Park;
-                    }
+                if let (true, Some(after)) = (more, last) {
+                    let (version, query) = r.range_query();
+                    let req = self.fresh(out, ReqRole::MetaRange { target });
+                    let max_nodes = self.cfg.meta_range_max_nodes;
+                    let blob = r.blob;
+                    let msg = Msg::GetMetaRange {
+                        req,
+                        blob,
+                        version,
+                        query,
+                        after: Some(after),
+                        max_nodes,
+                    };
+                    env.send(target, msg);
+                    return Step::Park;
                 }
-                if !sess.outstanding.is_empty() {
-                    return StreamStep::Park;
+                if !out.is_empty() {
+                    return Step::Park;
                 }
-                Self::rstream_meta_step(
-                    cfg,
-                    meta_providers,
-                    meta_cache,
-                    &mut fresh,
-                    &mut sess.outstanding,
-                    sid,
-                    r,
-                    env,
-                )
+                self.descend(out, stream, r, env)
             }
 
-            (RStreamPhase::Fetching, Msg::GetChunkOk { data, .. }, ReqRole::ChunkGet { idx, .. }) => {
+            (ReadPhase::Fetching, Msg::GetChunkOk { data, .. }, ReqRole::ChunkGet { idx, .. }) => {
                 r.parts[idx] = Some(data);
-                let done = sess.outstanding.is_empty();
-                Self::rstream_batch_done(sid, cfg.materialize_zeros, done, r)
+                self.fetched(out, stream, r, env)
             }
             (
-                RStreamPhase::Fetching,
+                ReadPhase::Fetching,
                 Msg::GetChunkBatchOk { items, .. },
-                ReqRole::ChunkGetBatch { target, items: req_items },
+                ReqRole::ChunkGetBatch { target, items: asked },
             ) => {
+                // Per-item results: store the hits, walk the misses. This
+                // reply disarms the batch's shared deadline; resubmitted
+                // items arm their own per-chunk deadlines.
                 let mut failed: Vec<(usize, ChunkDescriptor)> = Vec::new();
-                for (idx, desc) in req_items {
+                for (idx, desc) in asked {
                     match items.iter().find(|(k, _)| *k == desc.key) {
                         Some((_, Ok(data))) => r.parts[idx] = Some(data.clone()),
                         Some((_, Err(ChunkErr::Blocked))) => {
-                            return rfail(r, BlobError::Blocked(client))
+                            return fail(waiter, BlobError::Blocked(client))
                         }
                         _ => failed.push((idx, desc)),
                     }
                 }
-                for (idx, desc) in failed {
-                    let first = desc.replicas.iter().position(|t| *t == target).unwrap_or(0);
-                    if let Err(key) = Self::failover_chunk_get(
-                        client,
-                        cfg,
-                        meta_providers,
-                        &mut fresh,
-                        &mut sess.outstanding,
-                        idx,
-                        desc,
-                        first,
-                        1,
-                        env,
-                    ) {
-                        return rfail(r, BlobError::ChunkUnavailable(key));
-                    }
+                if let Err(key) = self.walk_batch(out, target, failed, env) {
+                    return fail(waiter, BlobError::ChunkUnavailable(key));
                 }
-                let done = sess.outstanding.is_empty();
-                Self::rstream_batch_done(sid, cfg.materialize_zeros, done, r)
+                self.fetched(out, stream, r, env)
             }
             (
-                RStreamPhase::Fetching,
+                ReadPhase::Fetching,
                 Msg::GetChunkErr { err, .. },
                 ReqRole::ChunkGetBatch { target, items },
             ) => {
+                // The whole batch failed: the provider refused it, or its
+                // single shared deadline fired. Each item independently
+                // re-enters the per-chunk replica walk (retries occupy the
+                // batch's window slot, so no refill here).
                 if err == ChunkErr::Blocked {
-                    return rfail(r, BlobError::Blocked(client));
+                    return fail(waiter, BlobError::Blocked(client));
                 }
-                for (idx, desc) in items {
-                    let first = desc.replicas.iter().position(|t| *t == target).unwrap_or(0);
-                    if let Err(key) = Self::failover_chunk_get(
-                        client,
-                        cfg,
-                        meta_providers,
-                        &mut fresh,
-                        &mut sess.outstanding,
-                        idx,
-                        desc,
-                        first,
-                        1,
-                        env,
-                    ) {
-                        return rfail(r, BlobError::ChunkUnavailable(key));
-                    }
+                match self.walk_batch(out, target, items, env) {
+                    Ok(()) => Step::Park,
+                    Err(key) => fail(waiter, BlobError::ChunkUnavailable(key)),
                 }
-                StreamStep::Park
             }
             (
-                RStreamPhase::Fetching,
+                ReadPhase::Fetching,
                 Msg::GetChunkErr { err, .. },
                 ReqRole::ChunkGet { idx, desc, first, attempts, refreshed },
             ) => {
                 if err == ChunkErr::Blocked {
-                    return rfail(r, BlobError::Blocked(client));
+                    return fail(waiter, BlobError::Blocked(client));
                 }
-                if !refreshed {
-                    if let Err(key) = Self::failover_chunk_get(
-                        client,
-                        cfg,
-                        meta_providers,
-                        &mut fresh,
-                        &mut sess.outstanding,
-                        idx,
-                        desc,
-                        first,
-                        attempts,
-                        env,
-                    ) {
-                        return rfail(r, BlobError::ChunkUnavailable(key));
-                    }
-                    return StreamStep::Park;
+                match self.failover_chunk_get(out, idx, desc, first, attempts, refreshed, env) {
+                    Ok(()) => Step::Park,
+                    Err(key) => fail(waiter, BlobError::ChunkUnavailable(key)),
                 }
-                // Post-refresh walk: no second leaf refresh.
-                if attempts < desc.replicas.len() {
-                    env.incr("client.replica_walks", 1);
-                    let target = desc.replicas[(first + attempts) % desc.replicas.len()];
-                    let key = desc.key;
-                    let req = fresh(
-                        &mut sess.outstanding,
-                        ReqRole::ChunkGet {
-                            idx,
-                            desc,
-                            first,
-                            attempts: attempts + 1,
-                            refreshed,
-                        },
-                    );
-                    env.send(target, Msg::GetChunk { req, client, key });
-                    env.set_timer(
-                        cfg.chunk_timeout,
-                        CLIENT_TIMER_BIT | CHUNK_TIMEOUT_BIT | req,
-                    );
-                    return StreamStep::Park;
-                }
-                rfail(r, BlobError::ChunkUnavailable(desc.key))
             }
             (
-                RStreamPhase::Fetching,
+                ReadPhase::Fetching,
                 Msg::GetMetaOk { nodes, .. },
                 ReqRole::LeafRefresh { idx, desc },
             ) => {
+                // The refreshed leaf supersedes the stale cached copy.
                 let mut fresh_desc = None;
                 for (k, n) in nodes {
                     if let Some(MetaNode::Leaf { chunk }) = &n {
                         fresh_desc = Some(chunk.clone());
-                        meta_cache.insert(k, n.expect("checked Some"));
+                        self.meta_cache.insert(k, n.expect("checked Some"));
                     }
                 }
                 match fresh_desc {
                     Some(chunk) if !chunk.replicas.is_empty() => {
-                        Self::issue_chunk_get(
-                            client,
-                            cfg.chunk_timeout,
-                            &mut fresh,
-                            &mut sess.outstanding,
-                            idx,
-                            chunk,
-                            true,
-                            env,
-                        );
-                        StreamStep::Park
+                        self.issue_chunk_get(out, idx, chunk, env);
+                        Step::Park
                     }
-                    _ => rfail(r, BlobError::ChunkUnavailable(desc.key)),
+                    _ => fail(waiter, BlobError::ChunkUnavailable(desc.key)),
                 }
             }
 
-            (_, _, _) => rfail(r, BlobError::Protocol("unexpected read-stream reply")),
+            (_, _, _) => fail(waiter, BlobError::Protocol("unexpected read reply")),
         }
     }
 
-    /// After absorbing one chunk reply: deliver the batch if it is whole.
-    fn rstream_batch_done(
-        sid: u64,
-        materialize_zeros: bool,
-        outstanding_empty: bool,
-        r: &mut ReadStreamSess,
-    ) -> StreamStep {
-        if !outstanding_empty {
-            return StreamStep::Park;
-        }
-        let (result, bytes, eof) = Self::rstream_assemble(sid, r, materialize_zeros);
-        if eof {
-            StreamStep::Finish(result, bytes)
+    /// The descent step of a read: walk the tree through the node cache;
+    /// where it stalls, go remote — on a cold cache with one bulk
+    /// `GetMetaRange` broadcast, later per node. Once the whole chunk plan
+    /// is resolved, the read is [`opened`](Self::opened).
+    fn descend(
+        &mut self,
+        out: &mut Outstanding,
+        stream: bool,
+        r: &mut ReadSess,
+        env: &mut dyn Env,
+    ) -> Step {
+        let reader = r.reader.as_mut().expect("reader set");
+        let Some(missing) = descend_cached(&self.meta_cache, reader) else {
+            r.sources = r.reader.take().expect("reader set").into_sources().into();
+            return self.opened(out, stream, r, env);
+        };
+        if self.cfg.meta_range_fetch && !r.range_used {
+            // Cold cache: instead of walking the tree one level per round
+            // trip, ask every metadata provider for its slice of the read
+            // path in one bulk query. Nodes are hash-partitioned, so no
+            // single provider holds a full root-to-leaf path — the
+            // broadcast is still one logical round trip, replacing
+            // O(depth) of them.
+            r.range_used = true;
+            let (version, query) = r.range_query();
+            let max_nodes = self.cfg.meta_range_max_nodes;
+            for i in 0..self.meta_providers.len() {
+                let target = self.meta_providers[i];
+                let req = self.fresh(out, ReqRole::MetaRange { target });
+                let blob = r.blob;
+                env.send(
+                    target,
+                    Msg::GetMetaRange { req, blob, version, query, after: None, max_nodes },
+                );
+            }
         } else {
-            StreamStep::Complete(result, bytes)
+            for (target, keys) in group_by_partition(&missing, &self.meta_providers) {
+                let req = self.fresh(out, ReqRole::MetaGet);
+                env.send(target, Msg::GetMeta { req, keys });
+            }
+        }
+        r.phase = ReadPhase::Meta;
+        Step::Park
+    }
+
+    /// The chunk plan is resolved: a stream reports itself open; a
+    /// whole-buffer read fetches every page as one batch now.
+    fn opened(
+        &mut self,
+        out: &mut Outstanding,
+        stream: bool,
+        r: &mut ReadSess,
+        env: &mut dyn Env,
+    ) -> Step {
+        if !stream {
+            return self.fetch(out, false, r, r.sources.len(), env);
+        }
+        r.phase = ReadPhase::Idle;
+        let info = r.info.as_ref().expect("info set");
+        let opened = OpOutput::ReadStreamOpened {
+            stream: out.sid,
+            version: info.version,
+            len: r.len,
+            page_size: info.page_size,
+        };
+        Step::Complete(Ok(opened), 0)
+    }
+
+    /// Fetch the next `pages` pages of the plan as one batch. Holes and
+    /// tombstone leaves (pages stalled-write recovery never stored) read
+    /// as zeros at once; each chunk draws one replica (in page order),
+    /// fetches are grouped per chosen provider in first-seen order — the
+    /// schedule stays deterministic — and issued under the in-flight
+    /// window, each reply refilling one slot. A provider serving several
+    /// of the batch's chunks gets them in one round trip.
+    fn fetch(
+        &mut self,
+        out: &mut Outstanding,
+        stream: bool,
+        r: &mut ReadSess,
+        pages: usize,
+        env: &mut dyn Env,
+    ) -> Step {
+        let page = r.page_size();
+        r.batch_base = r.cursor;
+        r.cursor += pages;
+        r.parts = (0..pages).map(|_| None).collect();
+        let mut groups: Vec<(NodeId, Vec<(usize, ChunkDescriptor)>)> = Vec::new();
+        for (i, src) in r.sources.drain(..pages).enumerate() {
+            match src {
+                PageSource::Chunk(desc) if !desc.replicas.is_empty() => {
+                    let target = desc.replicas[env.rng().random_range(0..desc.replicas.len())];
+                    match groups.iter_mut().find(|(t, _)| *t == target) {
+                        Some((_, items)) => items.push((i, desc)),
+                        None => groups.push((target, vec![(i, desc)])),
+                    }
+                }
+                _ => r.parts[i] = Some(Payload::Sim(page)),
+            }
+        }
+        if groups.is_empty() {
+            return deliver(out.sid, stream, r, self.cfg.materialize_zeros);
+        }
+        groups.reverse(); // pop() = next batch, in first-seen order
+        r.pending = groups;
+        while out.len() < self.window() {
+            let Some((target, items)) = r.pending.pop() else { break };
+            self.issue_chunk_get_batch(out, target, items, env);
+        }
+        r.phase = ReadPhase::Fetching;
+        Step::Park
+    }
+
+    /// A fetch reply landed: refill its window slot, and deliver the
+    /// batch once nothing is outstanding.
+    fn fetched(
+        &mut self,
+        out: &mut Outstanding,
+        stream: bool,
+        r: &mut ReadSess,
+        env: &mut dyn Env,
+    ) -> Step {
+        if let Some((target, items)) = r.pending.pop() {
+            self.issue_chunk_get_batch(out, target, items, env);
+        }
+        if !out.is_empty() {
+            return Step::Park;
+        }
+        deliver(out.sid, stream, r, self.cfg.materialize_zeros)
+    }
+
+    /// Send one provider's chunk fetches: a lone chunk as a plain
+    /// `GetChunk` (per-chunk replica walk), several as one
+    /// `GetChunkBatch` round trip. One deadline guards the whole batch;
+    /// items that fail or go unanswered re-enter the per-chunk walk
+    /// individually, each arming its own deadline.
+    fn issue_chunk_get_batch(
+        &mut self,
+        out: &mut Outstanding,
+        target: NodeId,
+        items: Vec<(usize, ChunkDescriptor)>,
+        env: &mut dyn Env,
+    ) {
+        let client = self.id;
+        let req = if items.len() == 1 {
+            let (idx, desc) = items.into_iter().next().expect("one item");
+            let first = desc.replicas.iter().position(|t| *t == target).unwrap_or(0);
+            let key = desc.key;
+            let role = ReqRole::ChunkGet { idx, desc, first, attempts: 1, refreshed: false };
+            let req = self.fresh(out, role);
+            env.send(target, Msg::GetChunk { req, client, key });
+            req
+        } else {
+            let keys: Vec<ChunkKey> = items.iter().map(|(_, d)| d.key).collect();
+            let req = self.fresh(out, ReqRole::ChunkGetBatch { target, items });
+            env.send(target, Msg::GetChunkBatch { req, client, keys });
+            req
+        };
+        env.set_timer(self.cfg.chunk_timeout, CLIENT_TIMER_BIT | CHUNK_TIMEOUT_BIT | req);
+    }
+
+    /// Re-fetch a refreshed leaf's chunk from a randomly chosen replica,
+    /// arming the per-chunk failover timer.
+    fn issue_chunk_get(
+        &mut self,
+        out: &mut Outstanding,
+        idx: usize,
+        desc: ChunkDescriptor,
+        env: &mut dyn Env,
+    ) {
+        let first = env.rng().random_range(0..desc.replicas.len());
+        let target = desc.replicas[first];
+        let key = desc.key;
+        let role = ReqRole::ChunkGet { idx, desc, first, attempts: 1, refreshed: true };
+        let req = self.fresh(out, role);
+        env.send(target, Msg::GetChunk { req, client: self.id, key });
+        env.set_timer(self.cfg.chunk_timeout, CLIENT_TIMER_BIT | CHUNK_TIMEOUT_BIT | req);
+    }
+
+    /// Send every item of a failed batch (or the failed items of a
+    /// partial reply) from provider `target` down its own replica walk.
+    fn walk_batch(
+        &mut self,
+        out: &mut Outstanding,
+        target: NodeId,
+        items: Vec<(usize, ChunkDescriptor)>,
+        env: &mut dyn Env,
+    ) -> Result<(), ChunkKey> {
+        for (idx, desc) in items {
+            let first = desc.replicas.iter().position(|t| *t == target).unwrap_or(0);
+            self.failover_chunk_get(out, idx, desc, first, 1, false, env)?;
+        }
+        Ok(())
+    }
+
+    /// Walk a failed chunk fetch to the next replica (arming a fresh
+    /// per-chunk deadline) or — once every replica was tried, and at most
+    /// once per chunk — re-fetch the chunk's leaf in case a replication
+    /// repair moved it. `Err(key)` means the chunk is unavailable and the
+    /// read must fail.
+    #[allow(clippy::too_many_arguments)]
+    fn failover_chunk_get(
+        &mut self,
+        out: &mut Outstanding,
+        idx: usize,
+        desc: ChunkDescriptor,
+        first: usize,
+        attempts: usize,
+        refreshed: bool,
+        env: &mut dyn Env,
+    ) -> Result<(), ChunkKey> {
+        if attempts < desc.replicas.len() {
+            env.incr("client.replica_walks", 1);
+            let target = desc.replicas[(first + attempts) % desc.replicas.len()];
+            let key = desc.key;
+            let role = ReqRole::ChunkGet { idx, desc, first, attempts: attempts + 1, refreshed };
+            let req = self.fresh(out, role);
+            env.send(target, Msg::GetChunk { req, client: self.id, key });
+            env.set_timer(self.cfg.chunk_timeout, CLIENT_TIMER_BIT | CHUNK_TIMEOUT_BIT | req);
+            return Ok(());
+        }
+        if self.cfg.retry.enabled() && !refreshed {
+            // Degraded read: every known replica failed, but a replication
+            // repair may have patched the leaf with fresh replicas since
+            // this descent cached it. Re-fetch the leaf directly
+            // (bypassing the cache) and retry against whatever placement
+            // it records.
+            let key = NodeKey {
+                blob: desc.key.blob,
+                version: desc.key.version,
+                range: NodeRange::new(desc.key.page, 1),
+            };
+            let owner = self.meta_providers[partition(&key, self.meta_providers.len())];
+            let req = self.fresh(out, ReqRole::LeafRefresh { idx, desc });
+            env.send(owner, Msg::GetMeta { req, keys: vec![key] });
+            return Ok(());
+        }
+        Err(desc.key)
+    }
+}
+
+/// The batch in flight is whole: assemble it and complete — the whole
+/// read at once, or one window of a stream (ending it at eof).
+fn deliver(sid: u64, stream: bool, r: &mut ReadSess, materialize_zeros: bool) -> Step {
+    let (data, bytes, eof) = assemble(r, materialize_zeros);
+    if !stream {
+        let version = r.info.as_ref().expect("info set").version;
+        return Step::Finish(Ok(OpOutput::Read { data, version }), bytes);
+    }
+    let chunk = Ok(OpOutput::ReadChunk { stream: sid, data, eof });
+    if eof {
+        Step::Finish(chunk, bytes)
+    } else {
+        Step::Complete(chunk, bytes)
+    }
+}
+
+/// Splice the requested byte range out of the batch's pages. Returns the
+/// bytes, their count, and whether the batch ends the plan. Real bytes
+/// iff some part carries real bytes or the deployment materializes zeros
+/// (holes then become zero bytes); a range inside a single real-data page
+/// is served as a refcounted sub-slice of the stored chunk — no copy from
+/// provider buffer to client buffer anywhere on the path.
+fn assemble(r: &mut ReadSess, materialize_zeros: bool) -> (Payload, u64, bool) {
+    let page = r.page_size();
+    let base = (r.page0 + r.batch_base as u64) * page;
+    let lo = r.offset.max(base);
+    let hi = (r.offset + r.len).min(base + r.parts.len() as u64 * page);
+    let skip = lo - base;
+    let total = hi.saturating_sub(lo);
+    let eof = r.sources.is_empty();
+    let parts = std::mem::take(&mut r.parts);
+    r.phase = ReadPhase::Idle;
+    if let [Some(Payload::Data(b))] = parts.as_slice() {
+        if (skip + total) as usize <= b.len() {
+            return (Payload::Data(b.slice(skip as usize..(skip + total) as usize)), total, eof);
         }
     }
+    if !materialize_zeros && !parts.iter().flatten().any(|p| matches!(p, Payload::Data(_))) {
+        return (Payload::Sim(total), total, eof);
+    }
+    let mut buf = BytesMut::with_capacity(total as usize);
+    let mut remaining = total;
+    let mut offset_in_part = skip;
+    for part in parts.iter().flatten() {
+        if remaining == 0 {
+            break;
+        }
+        let take = (page - offset_in_part).min(remaining);
+        let got = match part {
+            Payload::Data(b) => {
+                let s = (offset_in_part as usize).min(b.len());
+                let e = ((offset_in_part + take) as usize).min(b.len());
+                buf.extend_from_slice(&b[s..e]);
+                (e - s) as u64
+            }
+            Payload::Sim(_) => 0,
+        };
+        // Holes, and defensively any short chunk, pad with zeros.
+        buf.extend(std::iter::repeat_n(0u8, (take - got) as usize));
+        remaining -= take;
+        offset_in_part = 0;
+    }
+    (Payload::Data(buf.freeze()), total, eof)
 }
 
-enum Step {
-    Continue,
-    Done(Result<OpOutput, BlobError>, u64),
+/// A metadata walk fed node by node: the write path's base-tree resolve
+/// or the read path's descent.
+trait Walk {
+    fn done(&self) -> bool;
+    fn needed(&self) -> Vec<NodeKey>;
+    fn supply(&mut self, key: NodeKey, node: &MetaNode);
 }
 
-/// What a stream state machine decided after absorbing one message.
-enum StreamStep {
-    /// Keep waiting; nothing completes.
-    Park,
-    /// Complete the parked sub-operation; the stream stays open.
-    Complete(Result<OpOutput, BlobError>, u64),
-    /// Complete the parked sub-operation and tear the stream down
-    /// (commit acknowledged, eof delivered, or a fatal error with a
-    /// sub-operation waiting to receive it).
-    Finish(Result<OpOutput, BlobError>, u64),
-    /// Fatal error with no sub-operation parked: remember it; the next
-    /// sub-operation delivers it and reaps the stream.
-    Fatal(BlobError),
-}
-
-/// Route a fatal write-stream error: to the parked sub-operation if one
-/// is waiting, stored for the next sub-operation otherwise.
-fn wfail(w: &WriteStreamSess, err: BlobError) -> StreamStep {
-    if w.waiter.is_some() {
-        StreamStep::Finish(Err(err), 0)
-    } else {
-        StreamStep::Fatal(err)
+impl Walk for TreeBuilder {
+    fn done(&self) -> bool {
+        self.is_ready()
+    }
+    fn needed(&self) -> Vec<NodeKey> {
+        self.needed_fetches()
+    }
+    fn supply(&mut self, key: NodeKey, node: &MetaNode) {
+        TreeBuilder::supply(self, key, node)
     }
 }
 
-/// Route a fatal read-stream error (see [`wfail`]).
-fn rfail(r: &ReadStreamSess, err: BlobError) -> StreamStep {
-    if r.waiter.is_some() {
-        StreamStep::Finish(Err(err), 0)
-    } else {
-        StreamStep::Fatal(err)
+impl Walk for TreeReader {
+    fn done(&self) -> bool {
+        self.is_done()
+    }
+    fn needed(&self) -> Vec<NodeKey> {
+        self.needed_fetches()
+    }
+    fn supply(&mut self, key: NodeKey, node: &MetaNode) {
+        TreeReader::supply(self, key, node)
     }
 }
 
-/// Span label of a stream sub-operation.
-fn sub_op_label(kind: WaiterKind) -> &'static str {
-    match kind {
-        WaiterKind::Open => "stream_open",
-        WaiterKind::Feed => "stream_feed",
-        WaiterKind::Commit => "stream_commit",
-        WaiterKind::Next => "stream_next",
+/// Advance `walk` as far as the node cache carries it, without leaving
+/// the client: `None` once the walk is complete, otherwise the keys of
+/// the round where no cached node advanced it (they must be fetched).
+fn descend_cached(cache: &MetaCache, walk: &mut impl Walk) -> Option<Vec<NodeKey>> {
+    while !walk.done() {
+        let fetches = walk.needed();
+        debug_assert!(!fetches.is_empty());
+        let mut missing: Vec<NodeKey> = Vec::new();
+        let mut hits = 0usize;
+        for k in fetches {
+            match cache.get(&k) {
+                Some(n) => {
+                    walk.supply(k, n);
+                    hits += 1;
+                }
+                None => missing.push(k),
+            }
+        }
+        if hits == 0 {
+            return Some(missing);
+        }
+        // Some descent advanced; recompute the frontier before deciding
+        // what (if anything) must still be fetched.
     }
+    None
+}
+
+/// Feed fetched nodes to `walk`, caching each; a node its provider does
+/// not have is fatal.
+fn supply_nodes(
+    cache: &mut MetaCache,
+    walk: &mut impl Walk,
+    nodes: Vec<(NodeKey, Option<MetaNode>)>,
+) -> Result<(), BlobError> {
+    for (k, n) in nodes {
+        let node = n.ok_or(BlobError::MetaUnavailable)?;
+        walk.supply(k, &node);
+        cache.insert(k, node);
+    }
+    Ok(())
 }
 
 /// Extract the correlation id of a reply message.
@@ -3766,10 +2440,7 @@ fn chunk_err(err: ChunkErr, client: ClientId) -> BlobError {
 }
 
 /// Group metadata keys by their owning provider.
-fn group_by_partition(
-    keys: &[NodeKey],
-    meta_providers: &[NodeId],
-) -> Vec<(NodeId, Vec<NodeKey>)> {
+fn group_by_partition(keys: &[NodeKey], meta_providers: &[NodeId]) -> Vec<(NodeId, Vec<NodeKey>)> {
     let mut map: HashMap<NodeId, Vec<NodeKey>> = HashMap::new();
     for k in keys {
         let target = meta_providers[partition(k, meta_providers.len())];
@@ -3778,11 +2449,6 @@ fn group_by_partition(
     let mut out: Vec<(NodeId, Vec<NodeKey>)> = map.into_iter().collect();
     out.sort_by_key(|(n, _)| *n);
     out
-}
-
-/// Number of chunks a write of `len` bytes needs at the given page size.
-pub fn chunks_for_write(len: u64, page_size: u64) -> u64 {
-    pages_for(len, page_size)
 }
 
 #[cfg(test)]
@@ -3911,11 +2577,7 @@ mod tests {
         let mut c = core();
         c.start_op(
             &mut env,
-            ClientOp::Write {
-                blob: BlobId(5),
-                kind: WriteKind::Append,
-                data: Payload::Sim(16),
-            },
+            ClientOp::Write { blob: BlobId(5), kind: WriteKind::Append, data: Payload::Sim(16) },
             1,
         );
         let (_, msg) = env.take_sent().pop().unwrap();
@@ -3928,135 +2590,202 @@ mod tests {
         assert!(matches!(done[0].result, Err(BlobError::Blocked(_))));
     }
 
+    /// The two kinds of caller each read/write machine serves.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Caller {
+        /// `ClientOp::Write` / `ClientOp::Read`: one completion.
+        Whole,
+        /// `OpenWriteStream` … / `OpenReadStream` + `ReadStreamNext`.
+        Stream,
+    }
+
+    const CALLERS: [Caller; 2] = [Caller::Whole, Caller::Stream];
+
+    /// Start a read of `[offset, offset + len)` of blob 5 as `caller`.
+    fn start_read(c: &mut ClientCore, env: &mut TestEnv, caller: Caller, offset: u64, len: u64) {
+        let (blob, version) = (BlobId(5), None);
+        let op = match caller {
+            Caller::Whole => ClientOp::Read { blob, version, offset, len },
+            Caller::Stream => ClientOp::OpenReadStream { blob, version, offset, len },
+        };
+        assert!(c.start_op(env, op, 9).is_empty());
+    }
+
+    /// Deliver the reply that resolves a read's chunk plan. A whole-buffer
+    /// read goes on to fetch at once; a stream completes its open here and
+    /// is pulled once (every test plan fits one window). Also returns the
+    /// version a stream's open reported (`None` for a whole-buffer read).
+    fn resolve_plan(
+        c: &mut ClientCore,
+        env: &mut TestEnv,
+        caller: Caller,
+        msg: Msg,
+    ) -> (Vec<Completion>, Option<VersionId>) {
+        let done = c.handle_msg(env, META, msg);
+        if caller == Caller::Whole {
+            return (done, None);
+        }
+        assert_eq!(done.len(), 1, "{done:?}");
+        let Ok(OpOutput::ReadStreamOpened { stream, version, .. }) = done[0].result else {
+            panic!("{:?}", done[0].result)
+        };
+        (c.start_op(env, ClientOp::ReadStreamNext { stream }, 10), Some(version))
+    }
+
+    /// The version and bytes a read delivered: a whole-buffer read's one
+    /// completion carries both; a stream's final pull carries the bytes
+    /// and its open (`opened`) carried the version.
+    fn read_data(
+        caller: Caller,
+        opened: Option<VersionId>,
+        done: &Completion,
+    ) -> (VersionId, &Payload) {
+        match (caller, opened, &done.result) {
+            (Caller::Whole, None, Ok(OpOutput::Read { data, version })) => (*version, data),
+            (Caller::Stream, Some(version), Ok(OpOutput::ReadChunk { data, eof: true, .. })) => {
+                (version, data)
+            }
+            (_, _, other) => panic!("{caller:?}: {other:?}"),
+        }
+    }
+
+    fn one_page_info(root: Option<NodeRef>) -> VersionInfo {
+        VersionInfo { version: VersionId(1), size: 8, page_size: 8, root }
+    }
+
     #[test]
     fn allocation_failure_fails_the_op() {
-        let mut env = TestEnv::new();
-        let mut c = core();
-        c.start_op(
-            &mut env,
-            ClientOp::Write { blob: BlobId(5), kind: WriteKind::At(0), data: Payload::Sim(16) },
-            1,
-        );
-        let (_, msg) = env.take_sent().pop().unwrap();
-        let Msg::Ticket { req, .. } = msg else { panic!() };
-        let ticket = WriteTicket {
-            blob: BlobId(5),
-            version: VersionId(1),
-            offset: 0,
-            len: 16,
-            page_size: 8,
-            replication: 3,
-            new_size: 16,
-            base: crate::meta::BaseSnapshot { version: VersionId(0), size: 0, root: None },
-            pending: vec![],
-        };
-        assert!(c.handle_msg(&mut env, VMAN, Msg::TicketOk { req, ticket }).is_empty());
-        let (to, msg) = env.take_sent().pop().unwrap();
-        assert_eq!(to, PMAN);
-        let Msg::Alloc { req, chunks, replication, .. } = msg else { panic!() };
-        assert_eq!((chunks, replication), (2, 3));
-        let done = c.handle_msg(&mut env, PMAN, Msg::AllocErr { req, available: 2 });
-        assert!(matches!(done[0].result, Err(BlobError::AllocationFailed { available: 2, .. })));
+        for caller in CALLERS {
+            let mut env = TestEnv::new();
+            let mut c = core();
+            let (blob, kind) = (BlobId(5), WriteKind::At(0));
+            let op = match caller {
+                Caller::Whole => ClientOp::Write { blob, kind, data: Payload::Sim(16) },
+                Caller::Stream => ClientOp::OpenWriteStream { blob, kind, len: 16 },
+            };
+            c.start_op(&mut env, op, 1);
+            let (_, msg) = env.take_sent().pop().unwrap();
+            let Msg::Ticket { req, .. } = msg else { panic!() };
+            let ticket = WriteTicket {
+                blob: BlobId(5),
+                version: VersionId(1),
+                offset: 0,
+                len: 16,
+                page_size: 8,
+                replication: 3,
+                new_size: 16,
+                base: crate::meta::BaseSnapshot { version: VersionId(0), size: 0, root: None },
+                pending: vec![],
+            };
+            assert!(c.handle_msg(&mut env, VMAN, Msg::TicketOk { req, ticket }).is_empty());
+            let (to, msg) = env.take_sent().pop().unwrap();
+            assert_eq!(to, PMAN);
+            let Msg::Alloc { req, chunks, replication, .. } = msg else { panic!() };
+            assert_eq!((chunks, replication), (2, 3));
+            let done = c.handle_msg(&mut env, PMAN, Msg::AllocErr { req, available: 2 });
+            assert!(
+                matches!(done[0].result, Err(BlobError::AllocationFailed { available: 2, .. })),
+                "{caller:?}: {:?}",
+                done[0].result
+            );
+            assert_eq!(c.active_ops(), 0);
+        }
     }
 
     #[test]
     fn op_timeout_fires_and_completes_with_error() {
-        let mut env = TestEnv::new();
-        let mut c = core();
-        c.start_op(
-            &mut env,
-            ClientOp::Read { blob: BlobId(5), version: None, offset: 0, len: 8 },
-            9,
-        );
-        // The op-deadline timer was armed.
-        let (delay, token) = env.timers[0];
-        assert_eq!(delay, ClientConfig::default().op_timeout);
-        assert!(ClientCore::owns_timer(token));
-        env.now = SimTime(1);
-        let done = c.handle_timer(&mut env, token);
-        assert_eq!(done.len(), 1);
-        assert!(matches!(done[0].result, Err(BlobError::Timeout)));
-        assert_eq!(c.active_ops(), 0);
-        // A stale reply afterwards is ignored.
-        assert!(c.handle_msg(&mut env, VMAN, Msg::GetVersionErr {
-            req: 1,
-            err: BlobError::UnknownBlob(BlobId(5)),
-        })
-        .is_empty());
+        let timeout = ClientConfig::default().op_timeout;
+        let root = NodeRef::Node { version: VersionId(1), range: NodeRange::new(0, 1) };
+        for caller in CALLERS {
+            let mut env = TestEnv::new();
+            let mut c = core();
+            start_read(&mut c, &mut env, caller, 0, 8);
+            // The op-deadline timer was armed.
+            let (delay, token) = env.timers[0];
+            assert_eq!(delay, timeout);
+            assert!(ClientCore::owns_timer(token));
+            // Progress 5 s in: the version lookup answers.
+            let Msg::GetVersion { req, .. } = env.take_sent().pop().unwrap().1 else { panic!() };
+            env.now = SimTime::ZERO + SimDuration::from_secs(5);
+            let info = one_page_info(Some(root));
+            assert!(c.handle_msg(&mut env, VMAN, Msg::GetVersionOk { req, info }).is_empty());
+            env.now = SimTime::ZERO + timeout;
+            let mut done = c.handle_timer(&mut env, token);
+            if caller == Caller::Stream {
+                // A stream's deadline is idle time: the reply 5 s in
+                // re-arms it for the remainder.
+                assert!(done.is_empty(), "{done:?}");
+                let (delay, rearmed) = *env.timers.last().unwrap();
+                assert_eq!((delay, rearmed), (SimDuration::from_secs(5), token));
+                env.now += delay;
+                done = c.handle_timer(&mut env, token);
+            }
+            // A whole-buffer op's deadline is absolute: the same reply
+            // does not move it.
+            assert_eq!(done.len(), 1);
+            assert!(matches!(done[0].result, Err(BlobError::Timeout)));
+            assert_eq!(done[0].finished, env.now);
+            assert_eq!(c.active_ops(), 0);
+            // A stale reply afterwards is ignored.
+            assert!(c
+                .handle_msg(
+                    &mut env,
+                    VMAN,
+                    Msg::GetVersionErr { req: 1, err: BlobError::UnknownBlob(BlobId(5)) },
+                )
+                .is_empty());
+        }
     }
 
     #[test]
     fn read_fails_over_to_next_replica_on_chunk_timeout() {
-        let mut env = TestEnv::new();
-        let mut c = core();
-        c.start_op(
-            &mut env,
-            ClientOp::Read { blob: BlobId(5), version: None, offset: 0, len: 8 },
-            3,
-        );
-        let (_, msg) = env.take_sent().pop().unwrap();
-        let Msg::GetVersion { req, .. } = msg else { panic!() };
-        // One-page blob whose root is a leaf with two replicas.
-        let root = NodeRef::Node { version: VersionId(1), range: NodeRange::new(0, 1) };
-        assert!(c
-            .handle_msg(
-                &mut env,
-                VMAN,
-                Msg::GetVersionOk {
-                    req,
-                    info: VersionInfo {
-                        version: VersionId(1),
-                        size: 8,
-                        page_size: 8,
-                        root: Some(root),
-                    },
+        for caller in CALLERS {
+            let mut env = TestEnv::new();
+            let mut c = core();
+            start_read(&mut c, &mut env, caller, 0, 8);
+            let (_, msg) = env.take_sent().pop().unwrap();
+            let Msg::GetVersion { req, .. } = msg else { panic!() };
+            // One-page blob whose root is a leaf with two replicas.
+            let root = NodeRef::Node { version: VersionId(1), range: NodeRange::new(0, 1) };
+            let info = one_page_info(Some(root));
+            assert!(c.handle_msg(&mut env, VMAN, Msg::GetVersionOk { req, info }).is_empty());
+            // Cold cache: one bulk range query replaces the per-level fetch.
+            let (to, msg) = env.take_sent().pop().unwrap();
+            assert_eq!(to, META);
+            let Msg::GetMetaRange { req, .. } = msg else { panic!("{msg:?}") };
+            let leaf = MetaNode::Leaf {
+                chunk: ChunkDescriptor {
+                    key: ChunkKey { blob: BlobId(5), version: VersionId(1), page: 0 },
+                    replicas: vec![PROV_A, PROV_B],
+                    size: 8,
                 },
-            )
-            .is_empty());
-        // Cold cache: one bulk range query replaces the per-level fetch.
-        let (to, msg) = env.take_sent().pop().unwrap();
-        assert_eq!(to, META);
-        let Msg::GetMetaRange { req, .. } = msg else { panic!("{msg:?}") };
-        let leaf = MetaNode::Leaf {
-            chunk: ChunkDescriptor {
-                key: ChunkKey { blob: BlobId(5), version: VersionId(1), page: 0 },
-                replicas: vec![PROV_A, PROV_B],
-                size: 8,
-            },
-        };
-        let leaf_key = NodeKey {
-            blob: BlobId(5),
-            version: VersionId(1),
-            range: NodeRange::new(0, 1),
-        };
-        assert!(c
-            .handle_msg(
-                &mut env,
-                META,
-                Msg::GetMetaRangeOk { req, nodes: vec![(leaf_key, leaf)], more: false },
-            )
-            .is_empty());
-        // A chunk fetch went out to one replica, with a failover timer.
-        let (first_target, msg) = env.take_sent().pop().unwrap();
-        assert!(first_target == PROV_A || first_target == PROV_B);
-        let Msg::GetChunk { .. } = msg else { panic!("{msg:?}") };
-        let (_, token) = *env.timers.last().unwrap();
-        assert!(ClientCore::owns_timer(token));
-        // The replica never answers: the chunk timer fires and the client
-        // retries another replica.
-        assert!(c.handle_timer(&mut env, token).is_empty());
-        let (second_target, msg) = env.take_sent().pop().unwrap();
-        let Msg::GetChunk { req, .. } = msg else { panic!("{msg:?}") };
-        assert_ne!(second_target, first_target, "failover goes to the other replica");
-        // That one answers: the read completes.
-        let done =
-            c.handle_msg(&mut env, second_target, Msg::GetChunkOk { req, data: Payload::Sim(8) });
-        assert_eq!(done.len(), 1);
-        let Ok(OpOutput::Read { data, version }) = &done[0].result else {
-            panic!("{:?}", done[0].result)
-        };
-        assert_eq!(data.len(), 8);
-        assert_eq!(*version, VersionId(1));
+            };
+            let leaf_key =
+                NodeKey { blob: BlobId(5), version: VersionId(1), range: NodeRange::new(0, 1) };
+            let reply = Msg::GetMetaRangeOk { req, nodes: vec![(leaf_key, leaf)], more: false };
+            let (done, opened) = resolve_plan(&mut c, &mut env, caller, reply);
+            assert!(done.is_empty(), "{done:?}");
+            // A chunk fetch went out to one replica, with a failover timer.
+            let (first_target, msg) = env.take_sent().pop().unwrap();
+            assert!(first_target == PROV_A || first_target == PROV_B);
+            let Msg::GetChunk { .. } = msg else { panic!("{msg:?}") };
+            let (_, token) = *env.timers.last().unwrap();
+            assert!(ClientCore::owns_timer(token));
+            // The replica never answers: the chunk timer fires and the
+            // client retries another replica.
+            assert!(c.handle_timer(&mut env, token).is_empty());
+            let (second_target, msg) = env.take_sent().pop().unwrap();
+            let Msg::GetChunk { req, .. } = msg else { panic!("{msg:?}") };
+            assert_ne!(second_target, first_target, "failover goes to the other replica");
+            // That one answers: the read completes.
+            let reply = Msg::GetChunkOk { req, data: Payload::Sim(8) };
+            let done = c.handle_msg(&mut env, second_target, reply);
+            assert_eq!(done.len(), 1);
+            let (version, data) = read_data(caller, opened, &done[0]);
+            assert_eq!(data.len(), 8);
+            assert_eq!(version, VersionId(1));
+            assert_eq!(c.active_ops(), 0, "{caller:?}");
+        }
     }
 
     /// Build (locally) the stored tree of a `pages`-page blob at version
@@ -4087,38 +2816,29 @@ mod tests {
         builder.build(&chunks)
     }
 
-    /// Drive a fresh read op through GetVersion and the cold-cache bulk
-    /// metadata exchange; returns with the chunk fetches just sent.
+    /// Drive a fresh read through GetVersion and the cold-cache bulk
+    /// metadata exchange (and, for a stream, its open and first pull);
+    /// returns with the chunk fetches just sent, and the version a
+    /// stream's open reported.
     fn open_read(
         c: &mut ClientCore,
         env: &mut TestEnv,
+        caller: Caller,
         pages: u64,
         page: u64,
         nodes: Vec<(NodeKey, MetaNode)>,
         root: NodeRef,
-    ) {
-        c.start_op(
-            env,
-            ClientOp::Read { blob: BlobId(5), version: None, offset: 0, len: pages * page },
-            9,
-        );
+    ) -> Option<VersionId> {
+        start_read(c, env, caller, 0, pages * page);
         let (_, msg) = env.take_sent().pop().unwrap();
         let Msg::GetVersion { req, .. } = msg else { panic!() };
-        assert!(c
-            .handle_msg(
-                env,
-                VMAN,
-                Msg::GetVersionOk {
-                    req,
-                    info: VersionInfo {
-                        version: VersionId(1),
-                        size: pages * page,
-                        page_size: page,
-                        root: Some(root),
-                    },
-                },
-            )
-            .is_empty());
+        let info = VersionInfo {
+            version: VersionId(1),
+            size: pages * page,
+            page_size: page,
+            root: Some(root),
+        };
+        assert!(c.handle_msg(env, VMAN, Msg::GetVersionOk { req, info }).is_empty());
         // Cold cache: exactly one bulk range query per metadata provider
         // (the test ring has one) and no per-node GetMeta at all.
         let sent = env.take_sent();
@@ -4127,9 +2847,10 @@ mod tests {
         assert_eq!(to, META);
         let Msg::GetMetaRange { req, query, .. } = msg else { panic!("{msg:?}") };
         assert_eq!(query, PageInterval::new(0, pages));
-        assert!(c
-            .handle_msg(env, META, Msg::GetMetaRangeOk { req, nodes, more: false })
-            .is_empty());
+        let reply = Msg::GetMetaRangeOk { req, nodes, more: false };
+        let (done, opened) = resolve_plan(c, env, caller, reply);
+        assert!(done.is_empty(), "{done:?}");
+        opened
     }
 
     #[test]
@@ -4138,7 +2859,7 @@ mod tests {
         let mut c = core();
         let (pages, page) = (16u64, 8u64);
         let (nodes, root) = stored_tree(pages, page, vec![PROV_A]);
-        open_read(&mut c, &mut env, pages, page, nodes, root);
+        open_read(&mut c, &mut env, Caller::Whole, pages, page, nodes, root);
         // All 16 chunks live on one provider: a single batched fetch
         // replaces 16 per-chunk round trips.
         let sent = env.take_sent();
@@ -4159,130 +2880,121 @@ mod tests {
 
     #[test]
     fn batch_timeout_resubmits_each_item_individually() {
-        let mut env = TestEnv::new();
-        let mut c = core();
-        let (pages, page) = (2u64, 8u64);
-        // Both replicas on the same provider: the batch has one possible
-        // target, and the per-item walk still has somewhere to go.
-        let (nodes, root) = stored_tree(pages, page, vec![PROV_A, PROV_A]);
-        open_read(&mut c, &mut env, pages, page, nodes, root);
-        // One batch, guarded by one shared deadline.
-        let sent = env.take_sent();
-        assert_eq!(sent.len(), 1, "{sent:?}");
-        let Msg::GetChunkBatch { keys, .. } = &sent[0].1 else { panic!("{:?}", sent[0].1) };
-        assert_eq!(keys.len(), 2);
-        let timers_before = env.timers.len();
-        let (_, token) = *env.timers.last().unwrap();
-        assert!(ClientCore::owns_timer(token));
-        // The provider never answers: the batch deadline fires once and
-        // every item re-enters the per-chunk replica walk on its own.
-        assert!(c.handle_timer(&mut env, token).is_empty());
-        let sent = env.take_sent();
-        assert_eq!(sent.len(), 2, "per-item resubmission: {sent:?}");
-        let reqs: Vec<u64> = sent
-            .iter()
-            .map(|(to, m)| {
-                assert_eq!(*to, PROV_A);
-                let Msg::GetChunk { req, .. } = m else { panic!("{m:?}") };
-                *req
-            })
-            .collect();
-        assert_eq!(
-            env.timers.len(),
-            timers_before + 2,
-            "each resubmission arms its own deadline"
-        );
-        let mut done = vec![];
-        for req in reqs {
-            done = c.handle_msg(&mut env, PROV_A, Msg::GetChunkOk { req, data: Payload::Sim(page) });
+        for caller in CALLERS {
+            let mut env = TestEnv::new();
+            let mut c = core();
+            let (pages, page) = (2u64, 8u64);
+            // Both replicas on the same provider: the batch has one
+            // possible target, and the per-item walk still has somewhere
+            // to go.
+            let (nodes, root) = stored_tree(pages, page, vec![PROV_A, PROV_A]);
+            let opened = open_read(&mut c, &mut env, caller, pages, page, nodes, root);
+            // One batch, guarded by one shared deadline.
+            let sent = env.take_sent();
+            assert_eq!(sent.len(), 1, "{sent:?}");
+            let Msg::GetChunkBatch { keys, .. } = &sent[0].1 else { panic!("{:?}", sent[0].1) };
+            assert_eq!(keys.len(), 2);
+            let timers_before = env.timers.len();
+            let (_, token) = *env.timers.last().unwrap();
+            assert!(ClientCore::owns_timer(token));
+            // The provider never answers: the batch deadline fires once and
+            // every item re-enters the per-chunk replica walk on its own.
+            assert!(c.handle_timer(&mut env, token).is_empty());
+            let sent = env.take_sent();
+            assert_eq!(sent.len(), 2, "per-item resubmission: {sent:?}");
+            let reqs: Vec<u64> = sent
+                .iter()
+                .map(|(to, m)| {
+                    assert_eq!(*to, PROV_A);
+                    let Msg::GetChunk { req, .. } = m else { panic!("{m:?}") };
+                    *req
+                })
+                .collect();
+            assert_eq!(
+                env.timers.len(),
+                timers_before + 2,
+                "each resubmission arms its own deadline"
+            );
+            let mut done = vec![];
+            for req in reqs {
+                let reply = Msg::GetChunkOk { req, data: Payload::Sim(page) };
+                done = c.handle_msg(&mut env, PROV_A, reply);
+            }
+            assert_eq!(done.len(), 1);
+            assert_eq!(read_data(caller, opened, &done[0]).1.len(), pages * page);
         }
-        assert_eq!(done.len(), 1);
-        assert!(done[0].result.is_ok(), "{:?}", done[0].result);
     }
 
     #[test]
     fn partial_batch_failure_retries_only_the_missing_item() {
-        let mut env = TestEnv::new();
-        let mut c = core();
-        let (pages, page) = (2u64, 8u64);
-        let (nodes, root) = stored_tree(pages, page, vec![PROV_A, PROV_A]);
-        open_read(&mut c, &mut env, pages, page, nodes, root);
-        let sent = env.take_sent();
-        let (_, Msg::GetChunkBatch { req, keys, .. }) = sent.into_iter().next().unwrap() else {
-            panic!()
-        };
-        // One hit, one per-item miss: only the miss is retried.
-        let items = vec![
-            (keys[0], Ok(Payload::Sim(page))),
-            (keys[1], Err(ChunkErr::NotFound)),
-        ];
-        assert!(c.handle_msg(&mut env, PROV_A, Msg::GetChunkBatchOk { req, items }).is_empty());
-        let sent = env.take_sent();
-        assert_eq!(sent.len(), 1, "{sent:?}");
-        let (to, Msg::GetChunk { req, key, .. }) = sent.into_iter().next().unwrap() else {
-            panic!()
-        };
-        assert_eq!(to, PROV_A);
-        assert_eq!(key, keys[1]);
-        let done = c.handle_msg(&mut env, PROV_A, Msg::GetChunkOk { req, data: Payload::Sim(page) });
-        assert_eq!(done.len(), 1);
-        assert!(done[0].result.is_ok(), "{:?}", done[0].result);
+        for caller in CALLERS {
+            let mut env = TestEnv::new();
+            let mut c = core();
+            let (pages, page) = (2u64, 8u64);
+            let (nodes, root) = stored_tree(pages, page, vec![PROV_A, PROV_A]);
+            let opened = open_read(&mut c, &mut env, caller, pages, page, nodes, root);
+            let sent = env.take_sent();
+            let (_, Msg::GetChunkBatch { req, keys, .. }) = sent.into_iter().next().unwrap() else {
+                panic!()
+            };
+            // One hit, one per-item miss: only the miss is retried.
+            let items = vec![(keys[0], Ok(Payload::Sim(page))), (keys[1], Err(ChunkErr::NotFound))];
+            assert!(c.handle_msg(&mut env, PROV_A, Msg::GetChunkBatchOk { req, items }).is_empty());
+            let sent = env.take_sent();
+            assert_eq!(sent.len(), 1, "{sent:?}");
+            let (to, Msg::GetChunk { req, key, .. }) = sent.into_iter().next().unwrap() else {
+                panic!()
+            };
+            assert_eq!(to, PROV_A);
+            assert_eq!(key, keys[1]);
+            let reply = Msg::GetChunkOk { req, data: Payload::Sim(page) };
+            let done = c.handle_msg(&mut env, PROV_A, reply);
+            assert_eq!(done.len(), 1);
+            assert_eq!(read_data(caller, opened, &done[0]).1.len(), pages * page);
+        }
     }
 
     #[test]
     fn read_of_out_of_bounds_offset_errors() {
-        let mut env = TestEnv::new();
-        let mut c = core();
-        c.start_op(
-            &mut env,
-            ClientOp::Read { blob: BlobId(5), version: None, offset: 100, len: 8 },
-            3,
-        );
-        let (_, msg) = env.take_sent().pop().unwrap();
-        let Msg::GetVersion { req, .. } = msg else { panic!() };
-        let done = c.handle_msg(
-            &mut env,
-            VMAN,
-            Msg::GetVersionOk {
-                req,
-                info: VersionInfo {
-                    version: VersionId(1),
-                    size: 8,
-                    page_size: 8,
-                    root: None,
-                },
-            },
-        );
-        assert!(matches!(done[0].result, Err(BlobError::OutOfBounds { .. })));
+        for caller in CALLERS {
+            let mut env = TestEnv::new();
+            let mut c = core();
+            start_read(&mut c, &mut env, caller, 100, 8);
+            let (_, msg) = env.take_sent().pop().unwrap();
+            let Msg::GetVersion { req, .. } = msg else { panic!() };
+            let info = one_page_info(None);
+            let done = c.handle_msg(&mut env, VMAN, Msg::GetVersionOk { req, info });
+            assert!(matches!(done[0].result, Err(BlobError::OutOfBounds { .. })), "{caller:?}");
+            assert_eq!(c.active_ops(), 0);
+        }
     }
 
     #[test]
     fn zero_length_read_completes_immediately() {
-        let mut env = TestEnv::new();
-        let mut c = core();
-        c.start_op(
-            &mut env,
-            ClientOp::Read { blob: BlobId(5), version: None, offset: 0, len: 0 },
-            3,
-        );
-        let (_, msg) = env.take_sent().pop().unwrap();
-        let Msg::GetVersion { req, .. } = msg else { panic!() };
-        let done = c.handle_msg(
-            &mut env,
-            VMAN,
-            Msg::GetVersionOk {
-                req,
-                info: VersionInfo {
-                    version: VersionId(2),
-                    size: 8,
-                    page_size: 8,
-                    root: None,
-                },
-            },
-        );
-        assert_eq!(done.len(), 1);
-        let Ok(OpOutput::Read { data, .. }) = &done[0].result else { panic!() };
-        assert_eq!(data.len(), 0);
+        for caller in CALLERS {
+            let mut env = TestEnv::new();
+            let mut c = core();
+            start_read(&mut c, &mut env, caller, 0, 0);
+            let (_, msg) = env.take_sent().pop().unwrap();
+            let Msg::GetVersion { req, .. } = msg else { panic!() };
+            let info = VersionInfo { version: VersionId(2), size: 8, page_size: 8, root: None };
+            let reply = Msg::GetVersionOk { req, info };
+            let (done, opened) = match caller {
+                Caller::Whole => (c.handle_msg(&mut env, VMAN, reply), None),
+                Caller::Stream => {
+                    let opened = c.handle_msg(&mut env, VMAN, reply);
+                    let Ok(OpOutput::ReadStreamOpened { stream, version, len: 0, .. }) =
+                        opened[0].result
+                    else {
+                        panic!("{opened:?}")
+                    };
+                    (c.start_op(&mut env, ClientOp::ReadStreamNext { stream }, 10), Some(version))
+                }
+            };
+            assert_eq!(done.len(), 1);
+            assert_eq!(read_data(caller, opened, &done[0]).1.len(), 0);
+            assert_eq!(c.active_ops(), 0);
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ use std::sync::{Arc, Condvar, Mutex as StdMutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::Sender;
+use crossbeam::channel::{Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -112,6 +112,10 @@ struct NodeState {
     timers: BinaryHeap<std::cmp::Reverse<(u64, u64)>>,
     rng: SmallRng,
     started: bool,
+    /// Held until `on_start` has run. The worker drops it right after
+    /// (or while unwinding from) `on_start`, which releases the caller
+    /// blocked in [`Executor::add_node`] or [`Executor::reinstall`].
+    start_ack: Option<Sender<()>>,
 }
 
 /// One multiplexed node: mailbox + state machine + scheduling flag.
@@ -358,23 +362,27 @@ impl Executor {
         self.shared.shards.len()
     }
 
-    /// Register a new node and schedule its `on_start`.
+    /// Register a new node and run its `on_start`. Returns only once
+    /// `on_start` has run on a worker: every message it sent (a
+    /// provider's `Register`) is then already queued at its receiver,
+    /// ahead of anything the caller sends next.
     pub(crate) fn add_node(&self, kind: NodeKind, seed: u64) -> NodeId {
         let id = {
             let mut slots = self.shared.slots.write();
             slots.push(None);
             NodeId(slots.len() as u32 - 1)
         };
-        let cell = self.new_cell(id, kind, seed);
+        let (cell, started) = self.new_cell(id, kind, seed);
         self.shared.slots.write()[id.index()] = Some(Arc::clone(&cell));
-        self.shared.schedule(&cell);
+        self.start_cell(&cell, started);
         id
     }
 
     /// Re-occupy a previously killed slot with a fresh node at the
-    /// **same** [`NodeId`]. Fails if the slot is live or never existed.
+    /// **same** [`NodeId`], returning once its `on_start` has run (as
+    /// [`Executor::add_node`]). Fails if the slot is live or never existed.
     pub(crate) fn reinstall(&self, node: NodeId, kind: NodeKind, seed: u64) -> bool {
-        let cell = self.new_cell(node, kind, seed);
+        let (cell, started) = self.new_cell(node, kind, seed);
         {
             let mut slots = self.shared.slots.write();
             match slots.get_mut(node.index()) {
@@ -382,17 +390,31 @@ impl Executor {
                 _ => return false,
             }
         }
-        self.shared.schedule(&cell);
+        self.start_cell(&cell, started);
         true
     }
 
-    fn new_cell(&self, id: NodeId, kind: NodeKind, seed: u64) -> Arc<Cell> {
+    /// Schedule a fresh cell's first turn and block until its `on_start`
+    /// has run: the worker drops the acknowledgement's sender then (and
+    /// a cell killed before its first turn drops it with the cell). Every
+    /// worker is woken, so an idle one steals the turn when the cell's
+    /// home worker is busy with a long turn of another cell.
+    fn start_cell(&self, cell: &Arc<Cell>, started: Receiver<()>) {
+        self.shared.schedule(cell);
+        for shard in &self.shared.shards {
+            shard.cv.notify_one();
+        }
+        let _ = started.recv();
+    }
+
+    fn new_cell(&self, id: NodeId, kind: NodeKind, seed: u64) -> (Arc<Cell>, Receiver<()>) {
+        let (start_ack, started) = crossbeam::channel::bounded(0);
         let family = match &kind {
             NodeKind::Service(s) => s.name(),
             NodeKind::Client { .. } => "client",
         };
         let node_label = id.0.to_string();
-        Arc::new(Cell {
+        let cell = Arc::new(Cell {
             id,
             scheduled: AtomicBool::new(false),
             dead: AtomicBool::new(false),
@@ -410,8 +432,10 @@ impl Executor {
                 timers: BinaryHeap::new(),
                 rng: SmallRng::seed_from_u64(seed),
                 started: false,
+                start_ack: Some(start_ack),
             }),
-        })
+        });
+        (cell, started)
     }
 
     /// Stop the workers and join them. Queued envelopes are dropped —
@@ -696,9 +720,11 @@ fn run_cell(shared: &ExecShared, w: usize, cell: &Arc<Cell>) {
 
 /// Returns the number of envelopes handled this turn.
 fn drive(shared: &ExecShared, cell: &Arc<Cell>, node: &mut NodeState) -> usize {
-    let NodeState { kind, timers, rng, started } = node;
+    let NodeState { kind, timers, rng, started, start_ack } = node;
     if !*started {
         *started = true;
+        // Released at the end of this block, after `on_start` ran.
+        let _ack = start_ack.take();
         if let NodeKind::Service(service) = kind {
             let mut env = ExecEnv {
                 id: cell.id,

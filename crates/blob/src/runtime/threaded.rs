@@ -54,10 +54,10 @@ impl Service for ProcSamplerService {
     }
 
     fn on_start(&mut self, env: &mut dyn Env) {
-        if let Some(reg) = env.telemetry() {
-            self.sampler.sample_into(&reg);
-        }
-        env.set_timer(self.every, TOKEN_PROC_SAMPLE);
+        // The first sample runs right after `on_start`, in the same turn:
+        // `Cluster::add_service` waits for `on_start`, and a sample walks
+        // the page tables, a cost that grows with the process's RSS.
+        env.set_timer(SimDuration::ZERO, TOKEN_PROC_SAMPLE);
     }
 
     fn on_msg(&mut self, _env: &mut dyn Env, _from: NodeId, _msg: Msg) {}
@@ -540,7 +540,11 @@ impl Cluster {
     }
 
     /// Host an arbitrary service (monitoring, security, …) as a new
-    /// executor cell; returns its address.
+    /// executor cell; returns its address once the service's `on_start`
+    /// has run. For a provider, its `Register` is then queued at the
+    /// provider manager ahead of any allocation a client sends after this
+    /// call, so a fresh pool is never short of members that exist but
+    /// have not been scheduled yet.
     pub fn add_service(&mut self, service: Box<dyn Service>) -> NodeId {
         let seed = self.next_seed;
         self.next_seed += 1;
@@ -549,7 +553,8 @@ impl Cluster {
 
     /// Add a data provider at runtime (elastic scale-up). The provider's
     /// backend directory is assigned from the cluster's [`BackendSpec`]
-    /// and remembered for restarts.
+    /// and remembered for restarts. Returns once the provider has
+    /// registered with the provider manager.
     pub fn add_data_provider(&mut self, capacity: u64) -> NodeId {
         let pman = self.pman;
         let ordinal = self.next_backend_ordinal;
@@ -605,9 +610,9 @@ impl Cluster {
     /// Restart a previously [`kill`](Cluster::kill)ed node with a fresh
     /// service at the **same** [`NodeId`]: the routing-table slot is
     /// re-occupied by a new cell, so peers keep addressing the node as
-    /// before while its in-memory state starts from scratch. Returns
-    /// `false` if the slot is still live (never killed) or the address was
-    /// never allocated.
+    /// before while its in-memory state starts out empty. Returns once
+    /// the new service's `on_start` has run, or `false` if the slot is
+    /// still live (never killed) or the address was never allocated.
     pub fn restart_service(&mut self, node: NodeId, service: Box<dyn Service>) -> bool {
         let seed = self.next_seed;
         self.next_seed += 1;
@@ -618,7 +623,8 @@ impl Cluster {
     /// convenience over [`restart_service`](Cluster::restart_service)).
     /// With the memory backend the store comes back empty; with a disk
     /// backend the provider re-opens the directory it was originally
-    /// assigned, recovers its chunks and re-announces them.
+    /// assigned, recovers its chunks and re-announces them. Returns once
+    /// the provider has re-registered with the provider manager.
     pub fn restart_data_provider(&mut self, node: NodeId, capacity: u64) -> bool {
         let pman = self.pman;
         let mut cfg = self.service_cfg.clone();

@@ -331,13 +331,6 @@ impl EtagHasher {
     }
 }
 
-#[cfg(test)]
-fn etag(data: &[u8]) -> u64 {
-    let mut h = EtagHasher::new();
-    h.update(data);
-    h.finish()
-}
-
 impl ObjectGateway {
     /// A gateway speaking to a BlobSeer cluster through `client`.
     pub fn new(client: ClientHandle, cfg: GatewayConfig) -> Self {

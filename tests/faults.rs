@@ -287,3 +287,110 @@ fn mid_batch_provider_crash_degrades_to_replica_walk() {
         "batch items walked to the surviving replica"
     );
 }
+
+// ---------------------------------------------------------------------
+// Pinned fault schedule of the client's chunk-RPC recovery arms.
+// ---------------------------------------------------------------------
+
+/// Outcome of [`pinned_fault_run`]: the simulator's order-sensitive event
+/// digest plus the client's recovery counters.
+#[derive(Debug, PartialEq, Eq)]
+struct Pinned {
+    digest: u64,
+    events: u64,
+    rpc_retries: u64,
+    reallocs: u64,
+    replica_walks: u64,
+    ops: [u64; 4],
+}
+
+/// Two of four providers crash just as a writer and a reader start, and
+/// stay down for a minute. The writer's puts to the dead pair time out,
+/// are re-sent to the same target with backoff (`client.rpc_retries`)
+/// and then re-placed through the provider manager (`client.reallocs`).
+/// The reader's batches to the dead pair time out and walk to the other
+/// replica (`client.replica_walks`); chunks whose both replicas died
+/// exhaust the walk and re-fetch their leaf (the degraded-read refresh).
+/// A probe after the restart reads back the rewritten half, whose every
+/// replica the re-allocations placed on a live provider.
+fn pinned_fault_run() -> Pinned {
+    let cfg = DeploymentConfig {
+        seed: 21,
+        data_providers: 4,
+        meta_providers: 2,
+        recovery: Some(SimDuration::from_secs(5)),
+        client_cfg: ClientConfig { retry: RetryPolicy::standard(), ..ClientConfig::default() },
+        ..DeploymentConfig::default()
+    };
+    let mut d = Deployment::build(cfg);
+    let spec = BlobSpec { page_size: PAGE, replication: 2 };
+    d.add_client(
+        ClientId(1),
+        vec![
+            ScriptStep::Create(spec),
+            ScriptStep::Write { blob: BlobRef::Created(0), kind: WriteKind::Append, bytes: DATASET },
+        ],
+        "loader",
+    );
+    d.world.run_for(SimDuration::from_secs(10), 20_000_000);
+
+    let blob = BlobRef::Id(BlobId(1));
+    let down = SimTime::from_secs(10);
+    let up = SimTime::from_secs(70);
+    let mut plan = FaultPlan::builder()
+        .crash_at(d.data[0], down)
+        .crash_at(d.data[1], down)
+        .restart_at(d.data[0], up)
+        .restart_at(d.data[1], up)
+        .build();
+    d.add_client(
+        ClientId(2),
+        vec![ScriptStep::Write { blob, kind: WriteKind::At(0), bytes: 8 * MB }],
+        "w",
+    );
+    d.add_client(
+        ClientId(3),
+        vec![ScriptStep::Read { blob, version: None, offset: 0, len: DATASET }],
+        "r",
+    );
+    d.run_with_faults(&mut plan, SimTime::from_secs(HORIZON_S), 20_000_000);
+    d.add_client(
+        ClientId(4),
+        vec![ScriptStep::Read { blob, version: None, offset: 0, len: 8 * MB }],
+        "probe",
+    );
+    d.world.run_for(SimDuration::from_secs(60), 20_000_000);
+
+    let m = d.world.metrics();
+    Pinned {
+        digest: d.world.event_digest(),
+        events: d.world.events_processed(),
+        rpc_retries: m.counter("client.rpc_retries"),
+        reallocs: m.counter("client.reallocs"),
+        replica_walks: m.counter("client.replica_walks"),
+        ops: [
+            m.counter("w.ops_ok"),
+            m.counter("r.ops_ok") + m.counter("r.ops_err"),
+            m.counter("probe.ops_ok"),
+            m.counter("fault.crashes"),
+        ],
+    }
+}
+
+/// The retry, re-allocation, replica-walk and leaf-refresh arms of the
+/// client produce exactly this schedule. Any change to the messages they
+/// send, the order they send them in, their RNG draws or their timers
+/// moves the digest.
+#[test]
+fn client_recovery_arms_keep_their_pinned_schedule() {
+    let want = Pinned {
+        digest: 12_400_515_910_939_295_524,
+        events: 5_639,
+        rpc_retries: 4,
+        reallocs: 2,
+        replica_walks: 10,
+        // Writes ok, reads done, probes ok, crashes.
+        ops: [1, 1, 1, 2],
+    };
+    assert_eq!(pinned_fault_run(), want);
+}

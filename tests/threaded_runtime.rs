@@ -1,6 +1,9 @@
-//! Threaded-runtime robustness: elastic provider addition under live
-//! traffic, and replica failover when a provider dies mid-service.
+//! Threaded-runtime robustness: a started cluster's full provider pool,
+//! elastic provider addition under live traffic, and replica failover
+//! when a provider dies mid-service.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -10,6 +13,48 @@ use sads::blob::{BlobSpec, ClientId};
 use sads_sim::SimDuration;
 
 const PAGE: u64 = 64 * 1024;
+
+/// `start()` returns only once every provider has registered: a write
+/// whose replication needs the whole pool succeeds as the very first
+/// operation. Two spinning threads steal CPU from the executor workers,
+/// which is what used to let the client's first `Alloc` overtake a
+/// provider's `Register` (`AllocationFailed { available < pool }`).
+#[test]
+fn first_write_after_start_sees_the_whole_provider_pool() {
+    const POOL: usize = 16;
+    let stop = Arc::new(AtomicBool::new(false));
+    let spinners: Vec<_> = (0..2)
+        .map(|_| {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut x = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    x = std::hint::black_box(x.wrapping_add(1));
+                }
+            })
+        })
+        .collect();
+    let mut failures = Vec::new();
+    for _ in 0..50 {
+        let mut cluster = ClusterBuilder::new()
+            .data_providers(POOL)
+            .meta_providers(1)
+            .executor_shards(2)
+            .start();
+        let client = cluster.client(ClientId(1));
+        let spec = BlobSpec { page_size: 1024, replication: POOL as u32 };
+        let blob = client.create(spec).unwrap();
+        if let Err(e) = client.write(blob, 0, Bytes::from(vec![1u8; 1024])) {
+            failures.push(e);
+        }
+        cluster.shutdown();
+    }
+    stop.store(true, Ordering::Relaxed);
+    for s in spinners {
+        s.join().unwrap();
+    }
+    assert!(failures.is_empty(), "{} of 50 first writes failed: {:?}", failures.len(), failures[0]);
+}
 
 #[test]
 fn providers_added_at_runtime_serve_new_traffic() {
