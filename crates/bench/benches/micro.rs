@@ -243,21 +243,11 @@ fn bench_metric_sink(c: &mut Criterion) {
     use sads_sim::MetricSink;
     let mut g = c.benchmark_group("metric_sink");
     g.throughput(Throughput::Elements(1));
-    // The per-event accounting path as the simulator drives it: by name
-    // (one hash probe) and by pre-interned id (one Vec index).
+    // The per-event accounting path as the simulator drives it: one hash
+    // probe on the name.
     g.bench_function("incr_by_name", |b| {
         let mut m = MetricSink::new();
         b.iter(|| m.incr("provider.chunks_written", 1));
-    });
-    g.bench_function("incr_by_id", |b| {
-        let mut m = MetricSink::new();
-        let id = m.intern("provider.chunks_written");
-        b.iter(|| m.incr_id(id, 1));
-    });
-    g.bench_function("intern_hit", |b| {
-        let mut m = MetricSink::new();
-        m.intern("client.write_mbps");
-        b.iter(|| m.intern("client.write_mbps"));
     });
     g.finish();
 }

@@ -34,6 +34,7 @@ use sads_bench::{print_table, row, write_artifact, BenchArgs};
 use sads_blob::model::BlobSpec;
 use sads_blob::runtime::threaded::ClusterBuilder;
 use sads_blob::{ClientConfig, ClientId, WriteKind};
+use sads_sim::SampleValue;
 
 const MIB: u64 = 1 << 20;
 const PAGE: u64 = MIB;
@@ -92,11 +93,17 @@ fn stream_run(total: u64, window: usize) -> Outcome {
     assert_eq!(got, total, "short streamed read");
     let read_mbps = total as f64 / 1e6 / start.elapsed().as_secs_f64();
 
+    // The client sets this gauge only on a new per-session peak, and the
+    // run has one session: the family maximum is that session's peak.
     let peak_buffered = cluster
-        .metrics()
-        .series("client.stream_buffered_bytes")
-        .iter()
-        .fold(0f64, |acc, s| acc.max(s.value)) as u64;
+        .telemetry()
+        .snapshot()
+        .family("client.stream_buffered_bytes")
+        .filter_map(|s| match s.value {
+            SampleValue::Gauge(g) => Some(g),
+            _ => None,
+        })
+        .fold(0f64, f64::max) as u64;
     cluster.shutdown();
     Outcome {
         object_gib: total as f64 / (1 << 30) as f64,

@@ -41,7 +41,7 @@ use parking_lot::{Mutex, RwLock};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sads_sim::{
-    Counter, FlightEvent, FlightRecorder, FlightRing, Gauge, Histogram, MetricSink, NodeId,
+    Counter, FlightEvent, FlightRecorder, FlightRing, Gauge, Histogram, NodeId,
     Registry as TelemetryRegistry, SimDuration, SimTime, SpanKind, SpanRecord, SpanSink, TraceCtx,
 };
 
@@ -121,6 +121,9 @@ struct NodeState {
 /// One multiplexed node: mailbox + state machine + scheduling flag.
 pub(crate) struct Cell {
     id: NodeId,
+    /// `id` rendered once for the `node` label of every metric the cell
+    /// records.
+    node_label: String,
     /// True while the cell sits in a run queue or is being run. The
     /// transition false→true is the only way into a run queue, so a cell
     /// is never queued twice.
@@ -240,7 +243,6 @@ pub(crate) struct ExecShared {
     stats: Vec<ShardStats>,
     running: AtomicBool,
     start: Instant,
-    metrics: Arc<Mutex<MetricSink>>,
     telem: Arc<TelemetryRegistry>,
     sink: Option<Arc<SpanSink>>,
     recorder: Option<Arc<FlightRecorder>>,
@@ -321,7 +323,6 @@ impl Executor {
     pub(crate) fn start(
         shards: usize,
         start: Instant,
-        metrics: Arc<Mutex<MetricSink>>,
         telem: Arc<TelemetryRegistry>,
         sink: Option<Arc<SpanSink>>,
         recorder: Option<Arc<FlightRecorder>>,
@@ -337,7 +338,6 @@ impl Executor {
             stats: (0..n).map(|w| ShardStats::new(&telem, w)).collect(),
             running: AtomicBool::new(true),
             start,
-            metrics,
             telem,
             sink,
             recorder,
@@ -414,17 +414,17 @@ impl Executor {
             NodeKind::Client { .. } => "client",
         };
         let node_label = id.0.to_string();
+        let hwm_gauge =
+            self.shared.telem.gauge("runtime.mailbox_hwm", &[("node", node_label.as_str())]);
         let cell = Arc::new(Cell {
             id,
+            node_label,
             scheduled: AtomicBool::new(false),
             dead: AtomicBool::new(false),
             timer_registered: std::sync::atomic::AtomicU64::new(u64::MAX),
             home: AtomicUsize::new(id.index() % self.shared.shards.len()),
             mail_hwm: std::sync::atomic::AtomicU64::new(0),
-            hwm_gauge: self
-                .shared
-                .telem
-                .gauge("runtime.mailbox_hwm", &[("node", node_label.as_str())]),
+            hwm_gauge,
             ring: self.shared.recorder.as_ref().map(|r| r.ring(family)),
             mailbox: Mutex::new(VecDeque::new()),
             node: Mutex::new(NodeState {
@@ -472,12 +472,12 @@ impl Drop for Executor {
 
 /// The [`Env`] a multiplexed node sees during one callback.
 struct ExecEnv<'a> {
-    id: NodeId,
+    /// The running cell: its id, `node` label and mailbox (for per-node
+    /// backlog depth).
+    cell: &'a Cell,
     shared: &'a ExecShared,
     timers: &'a mut BinaryHeap<std::cmp::Reverse<(u64, u64)>>,
     rng: &'a mut SmallRng,
-    /// This cell's own mailbox, for per-node backlog depth.
-    mailbox: &'a Mutex<VecDeque<Envelope>>,
     /// Causal context of the callback being handled; outgoing messages
     /// carry it so replies land in the same trace.
     current: Option<TraceCtx>,
@@ -485,7 +485,7 @@ struct ExecEnv<'a> {
 
 impl Env for ExecEnv<'_> {
     fn id(&self) -> NodeId {
-        self.id
+        self.cell.id
     }
     fn now(&self) -> SimTime {
         SimTime(self.shared.now_ns())
@@ -494,7 +494,7 @@ impl Env for ExecEnv<'_> {
         let sent_ns = self.shared.now_ns();
         self.shared.send_to(
             to,
-            Envelope::Msg { from: self.id, msg, trace: self.current, sent_ns },
+            Envelope::Msg { from: self.cell.id, msg, trace: self.current, sent_ns },
         );
     }
     fn set_timer(&mut self, delay: SimDuration, token: u64) {
@@ -504,16 +504,13 @@ impl Env for ExecEnv<'_> {
     fn rng(&mut self) -> &mut SmallRng {
         self.rng
     }
+    /// A node-labeled registry gauge: the threaded runtime keeps the last
+    /// value, not a series.
     fn record(&mut self, name: &str, value: f64) {
-        let now = self.now();
-        self.shared.metrics.lock().record(name, now, value);
-        // Mirror into the live registry as a node-labeled gauge, so the
-        // existing call sites feed the telemetry plane with no churn.
-        self.shared.telem.set(name, &[("node", self.id.0.to_string().as_str())], value);
+        self.shared.telem.set(name, &[("node", self.cell.node_label.as_str())], value);
     }
     fn incr(&mut self, name: &str, delta: u64) {
-        self.shared.metrics.lock().incr(name, delta);
-        self.shared.telem.inc(name, &[("node", self.id.0.to_string().as_str())], delta);
+        self.shared.telem.inc(name, &[("node", self.cell.node_label.as_str())], delta);
     }
     fn span_sink(&self) -> Option<Arc<SpanSink>> {
         self.shared.sink.clone()
@@ -530,7 +527,7 @@ impl Env for ExecEnv<'_> {
     fn queue_depth_seconds(&self) -> f64 {
         // Age of the oldest envelope still queued for *this* cell: the
         // multiplexed equivalent of "how far behind is my inbox".
-        let mb = self.mailbox.lock();
+        let mb = self.cell.mailbox.lock();
         match mb.front() {
             Some(Envelope::Msg { sent_ns, .. }) => {
                 self.shared.now_ns().saturating_sub(*sent_ns) as f64 / 1e9
@@ -686,12 +683,7 @@ fn run_cell(shared: &ExecShared, w: usize, cell: &Arc<Cell>) {
         // Poison only this cell: unroute it, drop its mail, count it. The
         // worker and every other cell on the shard keep going.
         shared.kill(cell.id);
-        shared.metrics.lock().incr("runtime.service_panics", 1);
-        shared.telem.inc(
-            "runtime.service_panics",
-            &[("node", cell.id.0.to_string().as_str())],
-            1,
-        );
+        shared.telem.inc("runtime.service_panics", &[("node", cell.node_label.as_str())], 1);
         cell.scheduled.store(false, Ordering::Release);
         return;
     }
@@ -727,11 +719,10 @@ fn drive(shared: &ExecShared, cell: &Arc<Cell>, node: &mut NodeState) -> usize {
         let _ack = start_ack.take();
         if let NodeKind::Service(service) = kind {
             let mut env = ExecEnv {
-                id: cell.id,
+                cell,
                 shared,
                 timers,
                 rng,
-                mailbox: &cell.mailbox,
                 current: None,
             };
             service.on_start(&mut env);
@@ -778,11 +769,10 @@ fn fire_due_timers(
         };
         timers.pop();
         let mut env = ExecEnv {
-            id: cell.id,
+            cell,
             shared,
             timers,
             rng,
-            mailbox: &cell.mailbox,
             current: None,
         };
         match kind {
@@ -824,11 +814,10 @@ fn handle_envelope(
                 _ => None,
             };
             let mut env = ExecEnv {
-                id: cell.id,
+                cell,
                 shared,
                 timers,
                 rng,
-                mailbox: &cell.mailbox,
                 current: trace,
             };
             match kind {
@@ -865,11 +854,10 @@ fn handle_envelope(
                 *next_tag += 1;
                 pending.insert(tag, reply);
                 let mut env = ExecEnv {
-                    id: cell.id,
+                    cell,
                     shared,
                     timers,
                     rng,
-                    mailbox: &cell.mailbox,
                     current: trace,
                 };
                 // Stream sub-operations (a feed with headroom, a close)

@@ -17,9 +17,8 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam::channel::bounded;
-use parking_lot::Mutex;
 use sads_sim::{
-    FlightRecorder, MetricSink, NodeId, ProcSampler, Registry as TelemetryRegistry, SimDuration,
+    FlightRecorder, NodeId, ProcSampler, Registry as TelemetryRegistry, SampleValue, SimDuration,
     SimTime, SpanSink, TraceCtx,
 };
 
@@ -192,20 +191,9 @@ impl ClientHandle {
 
     /// Write real bytes at an offset (page-aligned, page-multiple length).
     pub fn write(&self, blob: BlobId, offset: u64, data: Bytes) -> Result<VersionId, BlobError> {
-        self.write_traced(blob, offset, data, None)
-    }
-
-    /// [`write`](ClientHandle::write), nesting the op under `trace`.
-    pub fn write_traced(
-        &self,
-        blob: BlobId,
-        offset: u64,
-        data: Bytes,
-        trace: Option<TraceCtx>,
-    ) -> Result<VersionId, BlobError> {
         match self.run(
             ClientOp::Write { blob, kind: WriteKind::At(offset), data: Payload::Data(data) },
-            trace,
+            None,
         )? {
             OpOutput::Written { version, .. } => Ok(version),
             _ => Err(BlobError::Protocol("wrong output for write")),
@@ -243,17 +231,7 @@ impl ClientHandle {
         blob: BlobId,
         version: Option<VersionId>,
     ) -> Result<VersionId, BlobError> {
-        self.snapshot_traced(blob, version, None)
-    }
-
-    /// [`snapshot`](ClientHandle::snapshot), nesting the op under `trace`.
-    pub fn snapshot_traced(
-        &self,
-        blob: BlobId,
-        version: Option<VersionId>,
-        trace: Option<TraceCtx>,
-    ) -> Result<VersionId, BlobError> {
-        match self.run(ClientOp::Snapshot { blob, version }, trace)? {
+        match self.run(ClientOp::Snapshot { blob, version }, None)? {
             OpOutput::Snapshotted { version, .. } => Ok(version),
             _ => Err(BlobError::Protocol("wrong output for snapshot")),
         }
@@ -263,16 +241,7 @@ impl ClientHandle {
     /// version history reclaimable by the lifecycle sweeper. Returns
     /// whether the version manager accepted.
     pub fn decommission(&self, blob: BlobId) -> Result<bool, BlobError> {
-        self.decommission_traced(blob, None)
-    }
-
-    /// [`decommission`](ClientHandle::decommission), nesting under `trace`.
-    pub fn decommission_traced(
-        &self,
-        blob: BlobId,
-        trace: Option<TraceCtx>,
-    ) -> Result<bool, BlobError> {
-        match self.run(ClientOp::Decommission { blob }, trace)? {
+        match self.run(ClientOp::Decommission { blob }, None)? {
             OpOutput::Decommissioned { ok, .. } => Ok(ok),
             _ => Err(BlobError::Protocol("wrong output for decommission")),
         }
@@ -420,21 +389,18 @@ impl ClusterBuilder {
 
     /// Spawn the executor workers and return the running cluster.
     pub fn start(self) -> Cluster {
-        let metrics = Arc::new(Mutex::new(MetricSink::new()));
         let start = Instant::now();
         let telemetry = self.telemetry.unwrap_or_else(|| Arc::new(TelemetryRegistry::new()));
         let flight_recorder = self.flight_recorder.then(|| Arc::new(FlightRecorder::new()));
         let exec = Executor::start(
             self.executor_shards,
             start,
-            Arc::clone(&metrics),
             Arc::clone(&telemetry),
             self.span_sink.clone(),
             flight_recorder.clone(),
         );
         let mut cluster = Cluster {
             exec,
-            metrics,
             start,
             pman: NodeId(0),
             vman: NodeId(0),
@@ -479,7 +445,6 @@ impl ClusterBuilder {
 /// A running threaded BlobSeer deployment.
 pub struct Cluster {
     exec: Executor,
-    metrics: Arc<Mutex<MetricSink>>,
     start: Instant,
     /// Provider manager address.
     pub pman: NodeId,
@@ -634,10 +599,19 @@ impl Cluster {
         self.restart_service(node, Box::new(DataProviderService::new(pman, capacity, cfg)))
     }
 
-    /// Snapshot of cluster metrics.
-    pub fn metrics(&self) -> MetricSink {
-        let mut out = MetricSink::new();
-        out.merge(std::mem::take(&mut *self.metrics.lock()));
+    /// Counter totals of the cluster's [`telemetry`](Cluster::telemetry)
+    /// registry, each summed over its labels. Reading resets nothing.
+    /// The sink holds no series: the threaded runtime keeps gauges and
+    /// histograms only in the registry, which is where to read them. This
+    /// view stays for callers that want plain counter totals, such as the
+    /// benchmark.
+    pub fn metrics(&self) -> sads_sim::MetricSink {
+        let mut out = sads_sim::MetricSink::new();
+        for s in self.telemetry.snapshot().samples {
+            if let SampleValue::Counter(c) = s.value {
+                out.incr(&s.name, c);
+            }
+        }
         out
     }
 
@@ -671,6 +645,24 @@ mod tests {
 
     fn patterned(len: usize, seed: u8) -> Bytes {
         Bytes::from((0..len).map(|i| (i as u8).wrapping_mul(31).wrapping_add(seed)).collect::<Vec<u8>>())
+    }
+
+    /// Reading the counter totals resets nothing: two successive reads
+    /// agree on counters that only operations move.
+    #[test]
+    fn metrics_reads_do_not_drain() {
+        let mut cluster = small_cluster();
+        let client = cluster.client(ClientId(1));
+        let blob = client.create(BlobSpec { page_size: PAGE, replication: 1 }).unwrap();
+        let data = patterned(4 * PAGE as usize, 1);
+        client.write(blob, 0, data.clone()).unwrap();
+        assert_eq!(client.read(blob, None, 0, data.len() as u64).unwrap(), data);
+        let (first, second) = (cluster.metrics(), cluster.metrics());
+        for name in ["pman.allocs", "provider.reads"] {
+            assert!(first.counter(name) > 0, "{name} never counted");
+            assert_eq!(second.counter(name), first.counter(name), "{name} was drained");
+        }
+        cluster.shutdown();
     }
 
     #[test]

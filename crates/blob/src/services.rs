@@ -41,7 +41,9 @@ pub trait Env {
     fn set_timer(&mut self, delay: SimDuration, token: u64);
     /// Deterministic RNG.
     fn rng(&mut self) -> &mut SmallRng;
-    /// Record a time-series metric observation (optional).
+    /// Record a metric observation (optional). The simulator appends it
+    /// to a time series; the threaded runtime keeps only the last value,
+    /// as a node-labeled registry gauge.
     fn record(&mut self, _name: &str, _value: f64) {}
     /// Increment a counter metric (optional).
     fn incr(&mut self, _name: &str, _delta: u64) {}
@@ -60,7 +62,7 @@ pub trait Env {
     fn set_trace_ctx(&mut self, _trace: Option<sads_sim::TraceCtx>) {}
     /// The live telemetry registry, when enabled for this deployment
     /// (optional; `None` disables direct instrumentation and the
-    /// runtimes' metric-bridge mirroring).
+    /// simulator's registry mirror).
     fn telemetry(&self) -> Option<std::sync::Arc<sads_sim::Registry>> {
         None
     }

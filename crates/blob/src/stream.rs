@@ -452,11 +452,17 @@ mod tests {
         h.commit().expect("commit");
         let window = crate::client::ClientConfig::default().chunk_window as u64;
         let cap = window.max(2) * PAGE;
-        let metrics = cluster.metrics();
-        let peak = metrics
-            .series("client.stream_buffered_bytes")
-            .iter()
-            .fold(0f64, |a, s| a.max(s.value));
+        // One session on a fresh cluster, and the client sets the gauge
+        // only on a new peak: the family maximum is the session's peak.
+        let peak = cluster
+            .telemetry()
+            .snapshot()
+            .family("client.stream_buffered_bytes")
+            .filter_map(|s| match s.value {
+                sads_sim::SampleValue::Gauge(g) => Some(g),
+                _ => None,
+            })
+            .fold(0f64, f64::max);
         assert!(peak > 0.0, "gauge must record");
         assert!(peak <= cap as f64, "peak {peak} must stay under cap {cap}");
         cluster.shutdown();

@@ -1567,6 +1567,53 @@ mod tests {
         assert!(parsed.iter().any(|s| s.name == "sads_gateway_op_seconds_bucket"));
         cluster.shutdown();
     }
+
+    /// Metric memory of a threaded deployment does not grow with the
+    /// number of operations: the cluster registry keeps one sample per
+    /// `(name, labels)` key, and the cluster keeps no time series.
+    #[test]
+    fn metric_memory_stays_flat_across_puts() {
+        let every = sads_sim::SimDuration::from_millis(20);
+        let mut cluster = ClusterBuilder::new()
+            .data_providers(4)
+            .meta_providers(2)
+            .provider_capacity(256 << 20)
+            .service_config(sads_blob::services::ServiceConfig {
+                heartbeat_every: every,
+                ..Default::default()
+            })
+            .start();
+        let gw = ObjectGateway::new(
+            cluster.client(ClientId(1000)),
+            GatewayConfig { page_size: 64 * 1024, replication: 1, ..Default::default() },
+        );
+        gw.create_bucket(ALICE, "soak", Acl::Private).unwrap();
+        let data = body(256 * 1024, 7);
+        let put = |ops: std::ops::Range<usize>| {
+            for i in ops {
+                gw.put_object(ALICE, "soak", &format!("k{}", i % 10), data.clone()).unwrap();
+            }
+        };
+        put(0..20);
+        // Wait until every periodic reporter has run once: heartbeats and
+        // the process sampler every 20 ms, and the provider manager's 2 s
+        // expiry sweep, which publishes the pool gauges.
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while cluster.telemetry().snapshot().gauge("pool.data_providers", &[]).is_none() {
+            assert!(Instant::now() < deadline, "the provider manager never swept");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let keys = || -> Vec<(String, Vec<(String, String)>)> {
+            cluster.telemetry().snapshot().samples.into_iter().map(|s| (s.name, s.labels)).collect()
+        };
+        let after_20 = keys();
+        put(20..200);
+        let after_200 = keys();
+        let grown: Vec<_> = after_200.iter().filter(|k| !after_20.contains(k)).collect();
+        assert_eq!(after_200.len(), after_20.len(), "samples grew with the op count: {grown:?}");
+        assert_eq!(cluster.metrics().series_names().count(), 0, "the cluster keeps no series");
+        cluster.shutdown();
+    }
 }
 
 #[cfg(test)]
@@ -1735,5 +1782,4 @@ mod multipart_tests {
         let info = gw.complete_multipart(ALICE, live).unwrap();
         assert_eq!(info.size, 800);
         cluster.shutdown();
-    }
-}
+    }}

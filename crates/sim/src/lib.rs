@@ -49,7 +49,7 @@ pub mod world;
 pub use equeue::CalendarQueue;
 pub use fault::{run_with_faults, FaultEvent, FaultKind, FaultPlan};
 pub use message::{Message, MessageExt};
-pub use metrics::{MetricId, MetricSink, Sample};
+pub use metrics::{MetricSink, Sample};
 pub use net::{NetConfig, Network, NicState, NodeConfig, NodeId, TransferTiming};
 pub use time::{transfer_time, SimDuration, SimTime};
 pub use world::{Actor, Ctx, RunOutcome, World};

@@ -5,13 +5,11 @@
 //! [`MetricSink`] collects all three keyed by a static-ish metric name and
 //! turns them into CSV rows for the experiment harness.
 //!
-//! Internally names are interned to dense `u32` ids on first use, so the
-//! hot path (`incr`/`record`, called per simulated event) is one hash
-//! lookup plus a `Vec` index — no allocation, no tree rebalancing. Ids can
-//! be captured once via [`MetricSink::intern`] and fed to
-//! [`MetricSink::incr_id`] / [`MetricSink::record_id`] to skip even the
-//! hash lookup. Report-time accessors sort by name, so output stays
-//! deterministic regardless of interning order.
+//! Internally names are interned to dense ids on first use, so the hot
+//! path (`incr`/`record`, called per simulated event) is one hash lookup
+//! plus a `Vec` index — no allocation after a name's first use.
+//! Report-time accessors sort by name, so output stays deterministic
+//! regardless of interning order.
 
 use std::collections::HashMap;
 
@@ -26,17 +24,13 @@ pub struct Sample {
     pub value: f64,
 }
 
-/// A dense handle for an interned metric name (see [`MetricSink::intern`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct MetricId(u32);
-
 /// Collects counters, gauges (time series) and raw distributions.
 ///
 /// Names are free-form and interned on first use; counters and series of
 /// the same name share one id.
 #[derive(Debug, Default)]
 pub struct MetricSink {
-    index: HashMap<String, u32>,
+    index: HashMap<String, usize>,
     names: Vec<String>,
     /// Id-indexed counter values; `counter_set` marks ids whose counter
     /// was actually incremented (so `counter_names` does not report ids
@@ -52,55 +46,41 @@ impl MetricSink {
         Self::default()
     }
 
-    /// Intern `name`, returning a dense id valid for this sink's lifetime.
-    pub fn intern(&mut self, name: &str) -> MetricId {
+    /// The dense id of `name`, assigned on first use.
+    fn intern(&mut self, name: &str) -> usize {
         if let Some(&id) = self.index.get(name) {
-            return MetricId(id);
+            return id;
         }
-        let id = self.names.len() as u32;
+        let id = self.names.len();
         self.index.insert(name.to_owned(), id);
         self.names.push(name.to_owned());
         self.counters.push(0);
         self.counter_set.push(false);
         self.series.push(Vec::new());
-        MetricId(id)
+        id
     }
 
     /// Add `delta` to the named counter.
     pub fn incr(&mut self, name: &str, delta: u64) {
         let id = self.intern(name);
-        self.incr_id(id, delta);
-    }
-
-    /// Add `delta` to an interned counter (allocation- and hash-free).
-    pub fn incr_id(&mut self, id: MetricId, delta: u64) {
-        self.counters[id.0 as usize] += delta;
-        self.counter_set[id.0 as usize] = true;
+        self.counters[id] += delta;
+        self.counter_set[id] = true;
     }
 
     /// Current value of a counter (0 if never incremented).
     pub fn counter(&self, name: &str) -> u64 {
-        self.index.get(name).map(|&id| self.counters[id as usize]).unwrap_or(0)
+        self.index.get(name).map(|&id| self.counters[id]).unwrap_or(0)
     }
 
     /// Append an observation to the named time series.
     pub fn record(&mut self, name: &str, at: SimTime, value: f64) {
         let id = self.intern(name);
-        self.record_id(id, at, value);
-    }
-
-    /// Append an observation to an interned series (allocation- and
-    /// hash-free).
-    pub fn record_id(&mut self, id: MetricId, at: SimTime, value: f64) {
-        self.series[id.0 as usize].push(Sample { at, value });
+        self.series[id].push(Sample { at, value });
     }
 
     /// The full series recorded under `name` (empty slice if absent).
     pub fn series(&self, name: &str) -> &[Sample] {
-        self.index
-            .get(name)
-            .map(|&id| self.series[id as usize].as_slice())
-            .unwrap_or(&[])
+        self.index.get(name).map(|&id| self.series[id].as_slice()).unwrap_or(&[])
     }
 
     /// Names of all recorded series, sorted.
@@ -184,27 +164,6 @@ impl MetricSink {
             .collect()
     }
 
-    /// Merge another sink into this one (counters add, series concatenate).
-    /// Ids are remapped by name, so sinks with different interning orders
-    /// merge correctly.
-    pub fn merge(&mut self, other: MetricSink) {
-        for (i, name) in other.names.iter().enumerate() {
-            let id = self.intern(name);
-            if other.counter_set[i] {
-                self.incr_id(id, other.counters[i]);
-            }
-        }
-        for (i, name) in other.names.into_iter().enumerate() {
-            if other.series[i].is_empty() {
-                continue;
-            }
-            let id = self.intern(&name);
-            let dst = &mut self.series[id.0 as usize];
-            dst.extend_from_slice(&other.series[i]);
-            dst.sort_by_key(|s| s.at);
-        }
-    }
-
     /// Render a series as CSV with a header; times in seconds.
     pub fn series_csv(&self, name: &str) -> String {
         let mut out = String::from("time_s,value\n");
@@ -258,20 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_combines_both_kinds() {
-        let mut a = MetricSink::new();
-        a.incr("c", 1);
-        a.record("s", t(2), 2.0);
-        let mut b = MetricSink::new();
-        b.incr("c", 2);
-        b.record("s", t(1), 1.0);
-        a.merge(b);
-        assert_eq!(a.counter("c"), 3);
-        let vals: Vec<f64> = a.series("s").iter().map(|x| x.value).collect();
-        assert_eq!(vals, vec![1.0, 2.0], "series must be time-sorted after merge");
-    }
-
-    #[test]
     fn csv_rendering() {
         let mut m = MetricSink::new();
         m.record("s", t(1), 3.5);
@@ -281,17 +226,14 @@ mod tests {
     }
 
     #[test]
-    fn interned_ids_hit_the_same_slots_as_names() {
+    fn names_share_one_slot_and_report_sorted() {
         let mut m = MetricSink::new();
-        let c = m.intern("hits");
-        let s = m.intern("lat");
-        m.incr_id(c, 4);
+        m.incr("hits", 4);
         m.incr("hits", 1);
-        m.record_id(s, t(1), 2.0);
+        m.record("lat", t(1), 2.0);
         m.record("lat", t(2), 4.0);
         assert_eq!(m.counter("hits"), 5);
         assert_eq!(m.series("lat").len(), 2);
-        assert_eq!(m.intern("hits"), c, "re-interning returns the same id");
         // A series-only name does not appear among counters…
         assert_eq!(m.counter_names().collect::<Vec<_>>(), vec!["hits"]);
         // …and names sort in report output regardless of intern order.
@@ -300,19 +242,5 @@ mod tests {
         m2.record("zz", t(0), 0.0);
         m2.record("aa", t(0), 0.0);
         assert_eq!(m2.series_names().collect::<Vec<_>>(), vec!["aa", "zz"]);
-    }
-
-    #[test]
-    fn merge_remaps_ids_by_name() {
-        // Different interning orders must still merge by name.
-        let mut a = MetricSink::new();
-        a.incr("x", 1);
-        a.incr("y", 10);
-        let mut b = MetricSink::new();
-        b.incr("y", 20);
-        b.incr("x", 2);
-        a.merge(b);
-        assert_eq!(a.counter("x"), 3);
-        assert_eq!(a.counter("y"), 30);
     }
 }

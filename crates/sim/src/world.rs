@@ -595,23 +595,6 @@ impl Ctx<'_> {
         self.world.metrics.incr(name, delta);
     }
 
-    /// Intern a metric name once; the id feeds [`Ctx::record_id`] /
-    /// [`Ctx::incr_id`], skipping the per-call name lookup on hot paths.
-    pub fn metric_id(&mut self, name: &str) -> crate::MetricId {
-        self.world.metrics.intern(name)
-    }
-
-    /// Record a time-series observation under an interned id.
-    pub fn record_id(&mut self, id: crate::MetricId, value: f64) {
-        let now = self.world.now;
-        self.world.metrics.record_id(id, now, value);
-    }
-
-    /// Increment a counter under an interned id.
-    pub fn incr_id(&mut self, id: crate::MetricId, delta: u64) {
-        self.world.metrics.incr_id(id, delta);
-    }
-
     /// Spawn a new node at runtime (used by the elasticity controller to
     /// expand the provider pool). Its `on_start` runs after this event.
     pub fn spawn(&mut self, actor: Box<dyn Actor>, cfg: NodeConfig) -> NodeId {

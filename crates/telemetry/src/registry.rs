@@ -183,10 +183,10 @@ impl Histogram {
 ///
 /// Registration (`counter`/`gauge`/`histogram`) interns the `(name, labels)`
 /// key under a mutex and hands back a lock-free handle; the one-shot
-/// convenience methods (`inc`/`set`/`observe`) pay one mutex hold per call,
-/// which matches what the runtimes already pay for their `MetricSink`, so
-/// bridging existing instrumentation through them is free of new contention
-/// classes. Nothing in here touches clocks, RNGs, or event queues —
+/// convenience methods (`inc`/`set`/`observe`) pay one mutex hold and one
+/// key lookup per call; the threaded runtime's `Env::incr`/`Env::record`
+/// use them, and hot paths that can keep a handle skip both. Nothing in
+/// here touches clocks, RNGs, or event queues —
 /// telemetry cannot perturb a deterministic schedule.
 #[derive(Default)]
 pub struct Registry {

@@ -54,19 +54,17 @@ impl Service for PanicService {
     }
 }
 
-/// Poll the (draining) cluster metric sink until `counter` reaches
-/// `want` or the deadline passes; returns the accumulated total.
+/// Poll the cluster's counter total until it reaches `want` or the
+/// deadline passes; returns the last total read.
 fn wait_counter(cluster: &Cluster, counter: &str, want: u64) -> u64 {
     let deadline = Instant::now() + Duration::from_secs(10);
-    let mut total = 0;
-    while Instant::now() < deadline {
-        total += cluster.metrics().counter(counter);
-        if total >= want {
-            break;
+    loop {
+        let total = cluster.metrics().counter(counter);
+        if total >= want || Instant::now() >= deadline {
+            return total;
         }
         std::thread::sleep(Duration::from_millis(5));
     }
-    total
 }
 
 /// Shutdown must return promptly even with deep per-cell backlogs (the
@@ -154,7 +152,7 @@ fn service_panic_is_isolated_to_its_cell() {
     for _ in 0..5 {
         client.append(blob, Bytes::from(vec![2u8; 64 * 1024])).expect("shard wedged");
     }
-    assert_eq!(cluster.metrics().counter("runtime.service_panics"), 0);
+    assert_eq!(cluster.metrics().counter("runtime.service_panics"), 1);
 
     // The panic killed the cell, so its address is free for a restart.
     assert!(cluster.restart_service(grenade, Box::new(CounterService)));
@@ -189,11 +187,12 @@ fn restart_service_reoccupies_the_same_address() {
     cluster.send(node, ping()); // dropped: dead address
     assert!(cluster.restart_service(node, Box::new(CounterService)));
     cluster.send(node, ping());
-    // Exactly one ping lands post-restart: the one sent while dead was
-    // dropped with the old cell, not replayed into the new one.
-    assert_eq!(wait_counter(&cluster, "probe.pings", 1), 1);
+    // Exactly one ping lands post-restart (3 before the kill + 1): the
+    // one sent while dead was dropped with the old cell, not replayed
+    // into the new one.
+    assert_eq!(wait_counter(&cluster, "probe.pings", 4), 4);
     std::thread::sleep(Duration::from_millis(20));
-    assert_eq!(cluster.metrics().counter("probe.pings"), 0);
+    assert_eq!(cluster.metrics().counter("probe.pings"), 4);
 
     cluster.shutdown();
 }

@@ -225,7 +225,7 @@ mod scrub_e2e {
     use sads::lifecycle::ScrubConfig;
     use sads::{AdaptiveClusterConfig, SelfAdaptiveCluster};
     use sads_adaptive::ReplicationConfig;
-    use sads_sim::{MetricSink, SimDuration};
+    use sads_sim::SimDuration;
 
     const PAGE: u64 = 64 * 1024;
     const PAGES: u64 = 8;
@@ -234,12 +234,6 @@ mod scrub_e2e {
         Bytes::from(
             (0..len).map(|i| (i as u8).wrapping_mul(17).wrapping_add(seed)).collect::<Vec<u8>>(),
         )
-    }
-
-    /// Merge freshly drained cluster metrics into `all` and return the
-    /// counter — the sink drains on read, so totals must accumulate.
-    fn drain(sys: &SelfAdaptiveCluster, all: &mut MetricSink) {
-        all.merge(sys.cluster.metrics());
     }
 
     #[test]
@@ -272,12 +266,14 @@ mod scrub_e2e {
         // Wait until the replication manager has learned the placement
         // of every chunk from the monitoring write records — corruption
         // reported before that could not be repaired.
-        let mut all = MetricSink::new();
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
         loop {
-            drain(&sys, &mut all);
-            let tracked =
-                all.series("repl.tracked_chunks").last().map(|s| s.value).unwrap_or(0.0);
+            let tracked = sys
+                .cluster
+                .telemetry()
+                .snapshot()
+                .gauge_total("repl.tracked_chunks")
+                .unwrap_or(0.0);
             if tracked >= PAGES as f64 {
                 break;
             }
@@ -302,7 +298,7 @@ mod scrub_e2e {
         // detection has been quarantined, reported and repaired.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
         let (quarantined, reports, repairs) = loop {
-            drain(&sys, &mut all);
+            let all = sys.cluster.metrics();
             let q = all.counter("provider.quarantined_chunks");
             let c = all.counter("repl.corrupt_reports");
             let r = all.counter("repl.repairs");
@@ -318,7 +314,7 @@ mod scrub_e2e {
         assert!(quarantined >= 1, "victim held no replica of the test blob");
         assert_eq!(reports, quarantined, "every quarantine must reach the repl manager");
         assert!(repairs >= reports, "not every corruption was repaired");
-        assert_eq!(all.counter("repl.lost_chunks"), 0, "no chunk may be lost: one replica survived");
+        assert_eq!(sys.cluster.metrics().counter("repl.lost_chunks"), 0, "no chunk may be lost: one replica survived");
 
         // Reads return the original bytes: corrupt replicas were patched
         // out of the leaves and the repaired copies serve.
